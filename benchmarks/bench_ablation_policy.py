@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DiacConfig, DiacSynthesizer
-from repro.dse import DesignSpaceExplorer, pareto_front
+from repro.dse import SweepEngine, SweepRequest, SweepSpec, pareto_front
 from repro.evaluation import evaluate_design
 from repro.metrics import format_table
 from repro.suite import load_circuit
@@ -79,14 +79,20 @@ def test_policy3_on_pareto_front(policy_sweep):
 
 
 def test_explorer_full_factorial(benchmark):
-    explorer = DesignSpaceExplorer(load_circuit("s27"))
-    records = benchmark.pedantic(
-        lambda: explorer.sweep(
-            policies=(1, 2, 3), budget_scales=(1.0,), safe_zones=(True,)
-        ),
+    request = SweepRequest(
+        spec=SweepSpec(
+            circuits=("s27",),
+            policies=(1, 2, 3),
+            budget_scales=(1.0,),
+            safe_zones=(True,),
+        )
+    )
+    result = benchmark.pedantic(
+        lambda: SweepEngine().submit(request),
         rounds=1,
         iterations=1,
     )
+    records = result.records
     assert len(records) == 3
-    best = explorer.best(records)
+    best = result.best()
     assert best.pdp_js == min(r.pdp_js for r in records)

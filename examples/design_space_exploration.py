@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.dse import DesignSpaceExplorer, pareto_front
+from repro.dse import SweepEngine, SweepRequest, SweepSpec, pareto_front
 from repro.metrics import format_table
 from repro.suite import load_circuit
 from repro.tech import MRAM, RERAM
@@ -25,13 +25,17 @@ def main() -> None:
     netlist = load_circuit(name)
     print(f"exploring {name}: {netlist.num_gates} gates, {netlist.num_ffs} FFs\n")
 
-    explorer = DesignSpaceExplorer(netlist)
-    records = explorer.sweep(
+    spec = SweepSpec(
+        circuits=(name,),
         policies=(1, 2, 3),
         budget_scales=(0.5, 1.0, 2.0),
         technologies=(MRAM, RERAM),
         safe_zones=(True, False),
     )
+    result = SweepEngine().submit(
+        SweepRequest(spec=spec), netlists={name: netlist}
+    )
+    records = result.records
 
     rows = [
         [
@@ -52,7 +56,7 @@ def main() -> None:
     )
     print()
 
-    best = explorer.best(records)
+    best = result.best()
     print(f"PDP-optimal point: {best.point.label()}  (PDP {best.pdp_js:.3e} Js)")
 
     front = pareto_front(

@@ -16,7 +16,6 @@ from repro.dse.engine import (
 )
 from repro.dse.explorer import (
     DesignPoint,
-    DesignSpaceExplorer,
     ExplorationRecord,
     SynthesisCache,
     evaluate_point,
@@ -76,7 +75,6 @@ __all__ = [
     "STRATEGIES",
     "DesignPoint",
     "DesignSpace",
-    "DesignSpaceExplorer",
     "EvalOutcome",
     "ExplorationRecord",
     "FaultPlan",

@@ -34,6 +34,7 @@ import math
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.calibration import MACRO_TASK_ENERGY_RATIO, REEXECUTION_FRACTION
 from repro.energy.harvester import HarvestTrace
@@ -44,6 +45,9 @@ from repro.sim.intermittent import (
     SchemeProfile,
     TraceTooWeakError,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.evaluation import Environment
 
 #: Below this many lanes the per-iteration array overhead exceeds the
 #: per-lane win, so :func:`run_batch` uses the scalar oracle directly.
@@ -130,6 +134,25 @@ class LaneSpec:
     sleep_drain_w: float = 0.0
     work_target_j: float | None = None
     max_cycles: float = 400.0
+
+    @classmethod
+    def for_environment(
+        cls, profile: SchemeProfile, env: Environment
+    ) -> LaneSpec:
+        """``profile`` run in one evaluation :class:`Environment`.
+
+        The work target is ``env.n_passes`` passes of the profile, the
+        same expression the scalar evaluation paths use, so a lane built
+        here replays them bit for bit.
+        """
+        return cls(
+            profile=profile,
+            e_max_j=env.e_max_j,
+            trace=env.trace,
+            thresholds=env.thresholds,
+            sleep_drain_w=env.sleep_drain_w,
+            work_target_j=env.n_passes * profile.pass_energy_j,
+        )
 
 
 class _LaneState:
@@ -791,14 +814,7 @@ def evaluate_jobs_batched(
         return records, failures
     outcomes = run_batch(
         [
-            LaneSpec(
-                profile=prep.profile,
-                e_max_j=prep.environment.e_max_j,
-                trace=prep.environment.trace,
-                thresholds=prep.environment.thresholds,
-                sleep_drain_w=prep.environment.sleep_drain_w,
-                work_target_j=prep.work_target_j,
-            )
+            LaneSpec.for_environment(prep.profile, prep.environment)
             for _key, prep in prepared
         ],
         return_exceptions=True,

@@ -12,22 +12,24 @@ tractable:
 * **parallelism** — batches fan out over a
   :class:`concurrent.futures.ProcessPoolExecutor` with a configurable
   worker count; point evaluation is pure, so parallel results are
-  identical to the serial path (modulo ordering);
+  identical to the serial path, order included;
 * **streaming + resume** — records stream to any
   :class:`~repro.dse.store.ResultStore` backend (JSONL or SQLite/WAL)
-  as batches complete, feeding an incremental
-  :class:`~repro.dse.aggregate.SweepAggregator`; a re-run against a
-  partial store skips every point already on disk via the store's
-  indexed ``keys()`` — resume never materializes the full record set;
+  as batches complete; a re-run against a partial store skips every
+  point already on disk via the store's indexed ``keys()`` — resume
+  never materializes the full record set;
 * **one submission API** — :meth:`SweepEngine.submit` consumes a
   :class:`~repro.dse.request.SweepRequest`: a ``grid`` request walks
   its full-factorial :class:`SweepSpec`, any other strategy drives a
-  :class:`~repro.dse.strategies.SearchStrategy` through the same
-  machinery generation by generation, with unchanged store keys so
-  adaptive searches resume exactly like grids (the legacy ``run`` /
-  ``run_search`` signatures remain as deprecated shims for one
-  release, and the :mod:`repro.service` coordinator consumes the same
-  request object to shard the work across processes);
+  :class:`~repro.dse.strategies.SearchStrategy` generation by
+  generation, with unchanged store keys so adaptive searches resume
+  exactly like grids;
+* **one driver, three executors** — :func:`run_request` owns the grid
+  walk and the ask/tell loop (dedup, resume, pruning, full-fidelity
+  filtering, ordering, aggregation) and hands each batch of tasks to a
+  :class:`TaskExecutor`: in-process, a supervised process pool, or the
+  :mod:`repro.service` lease queue — so all three return the same
+  result by construction;
 * **fault tolerance** — execution is supervised by
   :class:`~repro.dse.resilience.ResilienceConfig`: transient failures
   (worker crashes, broken pools, injected chaos) retry with seeded
@@ -45,14 +47,9 @@ import time
 import warnings
 from collections import deque
 from collections.abc import Iterable
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Protocol
 
 from repro.circuits.netlist import Netlist
 from repro.core.diac import DiacConfig
@@ -80,7 +77,7 @@ from repro.dse.store import (
     config_fingerprint,
     value_fingerprint,
 )
-from repro.dse.strategies import EvalOutcome, SearchStrategy
+from repro.dse.strategies import EvalOutcome
 from repro.energy.scenarios import ScenarioSpec
 from repro.suite.registry import load_circuit
 from repro.tech.nvm import MRAM, NvmTechnology
@@ -180,7 +177,7 @@ def sync_store_metadata(
             f"{current['base_config']}; {verb} mixes records that "
             "are not comparable — keep one store per base "
             "configuration",
-            stacklevel=4,
+            stacklevel=5,
         )
     store.set_metadata(spec_fingerprint=current)
 
@@ -232,7 +229,7 @@ class SweepSpec:
 
     Attributes:
         circuits: roster names (or keys of the ``netlists`` mapping given
-            to :meth:`SweepEngine.run`) to explore in one run.
+            to :meth:`SweepEngine.submit`) to explore in one run.
         policies: task-granularity policies.
         budget_scales: barrier-budget multipliers.
         technologies: NVM technologies.
@@ -358,8 +355,8 @@ class SweepStats:
 
     Attributes:
         n_points: distinct evaluation tasks requested (spec points for
-            :meth:`SweepEngine.run`, unique proposed (circuit,
-            scenario, point) keys for :meth:`SweepEngine.run_search`).
+            a grid, unique proposed (circuit, scenario, point) keys for
+            a search).
         n_evaluated: points evaluated this run.
         n_resumed: points skipped because the store already had them.
         n_failed: points that raised instead of producing a record
@@ -367,8 +364,7 @@ class SweepStats:
             result's ``failures`` list covers only requested
             scenarios).
         n_batches: synthesis-stage groups fanned out.
-        n_generations: strategy generations driven (0 for plain
-            :meth:`SweepEngine.run`).
+        n_generations: strategy generations driven (0 for a grid).
         synthesize_calls: actual circuit characterizations performed.
         workers: process count used (1 == serial in-process).
         wall_s: wall-clock duration of the run.
@@ -407,8 +403,8 @@ class SweepStats:
         Each of the run's ``n_batches`` (circuit, policy) groups needs one
         characterization when cold; every one the caches absorbed beyond
         the actual ``synthesize_calls`` was a hit.  0.0 on a fully cold
-        run, approaching 1.0 when a long-lived cache (generational search,
-        warm explorer) serves every stage.
+        run, approaching 1.0 when a long-lived cache (a generational
+        search) serves every stage.
         """
         if self.n_batches <= 0:
             return 0.0
@@ -427,19 +423,19 @@ class SweepResult:
     """Records plus run statistics.
 
     ``records`` contains every successful record of the run — freshly
-    evaluated and resumed-from-store alike — ordered by the spec's point
-    order (:meth:`SweepEngine.run`) or first-evaluation order
-    (:meth:`SweepEngine.run_search`); ``failures`` lists the points that
-    raised (an infeasible safe-margin, a trace too weak for the
-    configuration, or a scenario that no longer resolves — e.g. a moved
-    power-log file) so one bad point never aborts the sweep.
+    evaluated and resumed-from-store alike — in the spec's point order
+    (grids) or first-proposal task order (searches), whichever executor
+    ran them; ``failures`` lists the points that raised (an infeasible
+    safe-margin, a trace too weak for the configuration, or a scenario
+    that no longer resolves — e.g. a moved power-log file) so one bad
+    point never aborts the sweep.
 
-    ``aggregate`` carries the incremental per-(scenario, circuit)
-    aggregates the engine streamed while the sweep ran.  A result can
-    also be a pure **store-backed view** (:meth:`from_store`): no
-    ``records`` at all, every aggregate answered from the streamed
-    accumulators — the memory-light way to inspect a store far larger
-    than the process should hold.
+    ``aggregate`` carries the per-(scenario, circuit) aggregates,
+    folded in ``records`` order.  A result can also be a pure
+    **store-backed view** (:meth:`from_store`): no ``records`` at all,
+    every aggregate answered from the streamed accumulators — the
+    memory-light way to inspect a store far larger than the process
+    should hold.
     """
 
     records: list[ExplorationRecord] = field(default_factory=list)
@@ -680,181 +676,153 @@ def _evaluate_batch(
     return records, cache.synthesize_calls - calls_before, failures
 
 
-class SweepEngine:
-    """Runs sweeps serially or across worker processes.
+def _stage_groups(
+    tasks: list[_Task],
+) -> dict[tuple[str, int], list[tuple[_TaskKey, ScenarioSpec, DesignPoint]]]:
+    """Tasks grouped by synthesis stage (circuit x policy), in task order.
 
-    Args:
-        workers: process count; 1 (default) evaluates in-process with a
-            single shared synthesis cache, >1 fans batches out over a
-            process pool.
-        base_config: synthesis defaults shared by every point.
-        store: optional streaming result store (any
-            :class:`~repro.dse.store.ResultStore` backend); when given,
-            records are appended as they are produced and
-            ``resume=True`` skips points the store already holds — via
-            the store's indexed ``keys()``, never a full ``load()``.
-        resilience: retry/timeout/pool-supervision configuration
-            (default: supervised with the default
-            :class:`~repro.dse.resilience.RetryPolicy`); pass
-            ``ResilienceConfig.disabled()`` for the bare legacy path.
+    Each group shares one characterization/tree/policy run; scenarios
+    ride in the same group because they never change the synthesized
+    design.
+    """
+    groups: dict[
+        tuple[str, int], list[tuple[_TaskKey, ScenarioSpec, DesignPoint]]
+    ] = {}
+    for key, circuit, scenario, point in tasks:
+        groups.setdefault((circuit, point.policy), []).append(
+            (key, scenario, point)
+        )
+    return groups
+
+
+def _persist(
+    store: ResultStore | None, records: list[ExplorationRecord]
+) -> None:
+    """Stream produced records to the store as soon as they exist."""
+    if store is None or not records:
+        return
+    if len(records) == 1:
+        store.append(records[0])
+    else:
+        store.extend(records)
+
+
+def fetch_records(
+    store: ResultStore | None, tasks: Iterable[_Task]
+) -> dict[_TaskKey, ExplorationRecord]:
+    """The stored records of ``tasks``, keyed by task.
+
+    One indexed ``iter_records(scenario=, circuit=)`` query per
+    (scenario label, circuit) group, so resume never materializes the
+    whole store.  When a key appears more than once on disk (a torn
+    write healed by re-evaluation), the last record wins — the same
+    rule as store compaction.  Tasks with no stored record are simply
+    absent from the result.
+    """
+    fetched: dict[_TaskKey, ExplorationRecord] = {}
+    if store is None:
+        return fetched
+    by_group: dict[tuple[str, str], set[_TaskKey]] = {}
+    for key, circuit, scenario, _point in tasks:
+        by_group.setdefault((scenario.label(), circuit), set()).add(key)
+    for (label, circuit), keys in by_group.items():
+        for record in store.iter_records(scenario=label, circuit=circuit):
+            key = record.key()
+            if key in keys:
+                fetched[key] = record
+    return fetched
+
+
+def with_circuits(
+    netlists: dict[str, Netlist] | None, circuits: Iterable[str]
+) -> dict[str, Netlist]:
+    """A copy of ``netlists`` with every roster circuit it lacks loaded.
+
+    Raises:
+        KeyError: for a circuit neither given nor on the roster.
+    """
+    loaded = dict(netlists or {})
+    for name in circuits:
+        if name not in loaded:
+            loaded[name] = load_circuit(name)
+    return loaded
+
+
+#: What an executor returns for one batch: (records, failures), each
+#: keyed by task.
+_Evaluated = tuple[
+    dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]
+]
+
+
+class TaskExecutor(Protocol):
+    """Where the sweep drivers send each batch of pending tasks.
+
+    :func:`run_request` owns everything that decides *what* runs —
+    dedup, resume, pruning, full-fidelity filtering, ordering and
+    aggregation — and hands each batch to an executor that decides
+    *where* it runs: in-process (:class:`_SerialExecutor`), on a
+    supervised process pool (:class:`_PoolExecutor`), or through the
+    :mod:`repro.service` lease queue.  An executor streams every record
+    to the store as it is produced and adds what it did to ``stats``.
+    """
+
+    def evaluate(self, tasks: list[_Task], stats: SweepStats) -> _Evaluated:
+        """Evaluate ``tasks``; return (records, failures) keyed by task."""
+        ...  # pragma: no cover - protocol
+
+
+class _SerialExecutor:
+    """In-process evaluation with per-task retry on transients.
+
+    The per-circuit synthesis caches live as long as the executor, so a
+    generational search shares stages across generations.  Also the
+    drain path after pool execution degrades: fault plans fire with
+    ``allow_exit=False``, so an injected crash surfaces as a retryable
+    exception instead of killing the sweep.
     """
 
     def __init__(
         self,
-        workers: int = 1,
-        base_config: DiacConfig | None = None,
-        store: ResultStore | None = None,
-        resilience: ResilienceConfig | None = None,
+        netlists: dict[str, Netlist],
+        base_config: DiacConfig | None,
+        store: ResultStore | None,
+        resilience: ResilienceConfig,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
+        self.netlists = netlists
         self.base_config = base_config
         self.store = store
-        self.resilience = (
-            resilience if resilience is not None else ResilienceConfig()
-        )
-        # Active-run aggregation state, set by run()/run_search():
-        # records committed via _commit() also fold into the aggregator
-        # (restricted to _aggregate_keys when that is not None, so a
-        # search's screening evaluations stream to the store but stay
-        # out of the user-facing aggregates).
-        self._aggregate: SweepAggregator | None = None
-        self._aggregate_keys: set[_TaskKey] | None = None
-        self._aggregated: set[_TaskKey] = set()
+        self.resilience = resilience
+        # One cache per circuit key: the stage memo is keyed on
+        # netlist.name, and two file-loaded circuits may share a name.
+        self.caches: dict[str, SynthesisCache] = {}
 
-    def _fold(
-        self,
-        keyed_records: Iterable[tuple[_TaskKey, ExplorationRecord]],
-    ) -> None:
-        """Fold records into the active aggregator, at most once per key.
+    def close(self) -> None:
+        """Nothing to release: the caches die with the executor."""
 
-        Honors the ``_aggregate_keys`` restriction (a search's
-        screening evaluations stay out of the aggregates) and tracks
-        folded keys so a key promoted to full fidelity *after* its
-        record already existed still aggregates exactly once.
-        """
-        if self._aggregate is None:
-            return
-        allowed = self._aggregate_keys
-        picked = [
-            (key, record)
-            for key, record in keyed_records
-            if (allowed is None or key in allowed)
-            and key not in self._aggregated
-        ]
-        self._aggregated.update(key for key, _record in picked)
-        self._aggregate.add_many(record for _key, record in picked)
-
-    def _commit(
-        self,
-        keyed_records: list[tuple[_TaskKey, ExplorationRecord]],
-    ) -> None:
-        """Persist one completed batch and fold it into the aggregates.
-
-        The single exit point for produced records: every execution
-        path (serial, bare parallel, supervised parallel) hands its
-        completions here, so streaming-to-store and incremental
-        aggregation can never drift apart.
-        """
-        if not keyed_records:
-            return
-        if self.store is not None:
-            if len(keyed_records) == 1:
-                self.store.append(keyed_records[0][1])
-            else:
-                self.store.extend([r for _k, r in keyed_records])
-        self._fold(keyed_records)
-
-    def _execute_tasks(
-        self,
-        tasks: list[_Task],
-        netlists: dict[str, Netlist],
-        stats: SweepStats,
-        caches: dict[str, SynthesisCache] | None = None,
-        supervisor: PoolSupervisor | None = None,
-    ) -> tuple[
-        dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]
-    ]:
-        """Evaluate pending tasks, stream to the store, update ``stats``.
-
-        The single execution path behind :meth:`run` and
-        :meth:`run_search`: serial mode reuses the per-circuit
-        ``caches`` (so a generational search shares synthesis stages
-        across generations), parallel mode groups tasks by (circuit,
-        policy) and fans the groups out over a supervised process pool.
-        A caller that passes its own long-lived ``supervisor`` (the
-        generational search) also gets worker-process-global caches, so
-        stages synthesized in one generation stay warm for the next —
-        and a pool death in one generation leaves the supervisor with a
-        rebuilt pool for the next; one-shot callers get a fresh
-        supervisor and batch-local caches.
-        """
+    def evaluate(self, tasks: list[_Task], stats: SweepStats) -> _Evaluated:
         fresh: dict[_TaskKey, ExplorationRecord] = {}
         failures: dict[_TaskKey, SweepFailure] = {}
-        if self.workers == 1:
-            # One cache per circuit key: the stage memo is keyed on
-            # netlist.name, and two file-loaded circuits may share a name.
-            if caches is None:
-                caches = {}
-            self._execute_serial(tasks, netlists, stats, caches,
-                                 fresh, failures)
-            # Serial "batches" mirror the parallel grouping for stats.
-            stats.n_batches += len(
-                {(circuit, point.policy) for _k, circuit, _s, point in tasks}
-            )
-        else:
-            # Batch by synthesis-stage group (circuit x policy) so each
-            # batch shares one characterization/tree/policy run;
-            # scenarios ride in the same batch because they never change
-            # the synthesized design.
-            groups: dict[
-                tuple[str, int],
-                list[tuple[_TaskKey, ScenarioSpec, DesignPoint]],
-            ] = {}
-            for key, circuit, scenario, point in tasks:
-                groups.setdefault((circuit, point.policy), []).append(
-                    (key, scenario, point)
-                )
-            stats.n_batches += len(groups)
-            own_supervisor = supervisor is None
-            if own_supervisor:
-                supervisor = PoolSupervisor(self.workers)
-            try:
-                if self.resilience.supervise:
-                    self._execute_parallel_supervised(
-                        groups, netlists, stats, supervisor, fresh, failures
-                    )
-                else:
-                    self._execute_parallel_bare(
-                        groups, netlists, stats, supervisor, fresh, failures
-                    )
-            finally:
-                if own_supervisor:
-                    supervisor.shutdown()
+        self.evaluate_into(tasks, stats, fresh, failures)
+        # Serial "batches" mirror the pool's grouping for stats.
+        stats.n_batches += len(_stage_groups(tasks))
         stats.n_evaluated += len(fresh)
         stats.n_failed += len(failures)
         return fresh, failures
 
-    def _execute_serial(
+    def evaluate_into(
         self,
         tasks: list[_Task],
-        netlists: dict[str, Netlist],
         stats: SweepStats,
-        caches: dict[str, SynthesisCache],
         fresh: dict[_TaskKey, ExplorationRecord],
         failures: dict[_TaskKey, SweepFailure],
     ) -> None:
-        """In-process evaluation with per-task retry on transients.
-
-        Also the drain path after parallel execution degrades: fault
-        plans fire with ``allow_exit=False``, so an injected crash
-        surfaces as a retryable exception instead of killing the sweep.
-        """
+        """Evaluate ``tasks`` into ``fresh``/``failures``."""
         cfg = self.resilience
         policy = cfg.retry
-        retry_enabled = cfg.supervise and policy.max_attempts > 1
-        for circuit in netlists:
+        retry_enabled = policy.max_attempts > 1
+        caches = self.caches
+        for circuit in self.netlists:
             caches.setdefault(circuit, SynthesisCache())
         before = sum(c.synthesize_calls for c in caches.values())
         remaining = tasks
@@ -863,9 +831,8 @@ class SweepEngine:
             and len(tasks) > 1
             and batch_routing_enabled()
         ):
-            remaining = self._execute_serial_batched(
-                tasks, netlists, stats, caches, fresh, failures,
-                retry_enabled=retry_enabled,
+            remaining = self._run_batched(
+                tasks, stats, fresh, failures, retry_enabled=retry_enabled
             )
         for key, circuit, scenario, point in remaining:
             attempts = 0
@@ -875,7 +842,7 @@ class SweepEngine:
                     if cfg.fault_plan is not None:
                         cfg.fault_plan.fire(key_text(key), allow_exit=False)
                     record = evaluate_point(
-                        netlists[circuit],
+                        self.netlists[circuit],
                         point,
                         base_config=self.base_config,
                         cache=caches[circuit],
@@ -901,18 +868,16 @@ class SweepEngine:
                     )
                     break
                 fresh[key] = record
-                self._commit([(key, record)])
+                _persist(self.store, [record])
                 break
         stats.synthesize_calls += (
             sum(c.synthesize_calls for c in caches.values()) - before
         )
 
-    def _execute_serial_batched(
+    def _run_batched(
         self,
         tasks: list[_Task],
-        netlists: dict[str, Netlist],
         stats: SweepStats,
-        caches: dict[str, SynthesisCache],
         fresh: dict[_TaskKey, ExplorationRecord],
         failures: dict[_TaskKey, SweepFailure],
         retry_enabled: bool,
@@ -932,14 +897,14 @@ class SweepEngine:
         leftovers: list[_Task] = []
         for circuit, group in by_circuit.items():
             records, errors = evaluate_jobs_batched(
-                netlists[circuit],
+                self.netlists[circuit],
                 [(key, scenario, point) for key, _c, scenario, point in group],
                 base_config=self.base_config,
-                cache=caches[circuit],
+                cache=self.caches[circuit],
             )
             for key, record in records:
                 fresh[key] = record
-                self._commit([(key, record)])
+                _persist(self.store, [record])
             if not errors:
                 continue
             meta = {
@@ -962,53 +927,46 @@ class SweepEngine:
                 )
         return leftovers
 
-    def _execute_parallel_bare(
-        self,
-        groups: dict[
-            tuple[str, int],
-            list[tuple[_TaskKey, ScenarioSpec, DesignPoint]],
-        ],
-        netlists: dict[str, Netlist],
-        stats: SweepStats,
-        supervisor: PoolSupervisor,
-        fresh: dict[_TaskKey, ExplorationRecord],
-        failures: dict[_TaskKey, SweepFailure],
-    ) -> None:
-        """The pre-resilience fan-out: one submission, no retries.
 
-        Kept as the measured baseline for the supervised path's
-        overhead (``perf run --suite sweep-resilience``) and as the
-        ``supervise=False`` escape hatch.  One thing is still hardened:
-        a batch-level exception (dead worker, unpicklable result) turns
-        into classified failures for the batch's tasks instead of
-        propagating and destroying the sweep's in-memory results.
-        """
-        pool = supervisor.pool
-        futures = {
-            pool.submit(
-                _evaluate_batch, circuit, netlists[circuit],
-                jobs, self.base_config,
-                supervisor.persistent,  # long-lived pool -> worker caches
-                self.resilience.fault_plan,
-            ): ((circuit, policy), jobs)
-            for (circuit, policy), jobs in groups.items()
-        }
-        # Persist batches as they finish, not in submission order,
-        # so a kill mid-run loses at most the in-flight batches.
-        for future in as_completed(futures):
-            (circuit, _policy), jobs = futures[future]
-            try:
-                records, synth_calls, batch_failures = future.result()
-            except Exception as error:
-                self._fail_batch(
-                    circuit, jobs, failures, error=error, attempts=1
-                )
-                continue
-            stats.synthesize_calls += synth_calls
-            failures.update(batch_failures)
-            for key, record in records:
-                fresh[key] = record
-            self._commit(records)
+class _PoolExecutor:
+    """Stage-group batches on a supervised process pool.
+
+    One :class:`PoolSupervisor` serves every :meth:`evaluate` call.  A
+    generational search passes ``persistent=True``: worker processes
+    then keep process-global synthesis caches, so a (circuit, policy)
+    stage synthesized in generation 1 is still warm in generation N,
+    and a pool that died mid-generation is already rebuilt when the
+    next one lands.  A grid evaluates once, with batch-local caches.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        netlists: dict[str, Netlist],
+        base_config: DiacConfig | None,
+        store: ResultStore | None,
+        resilience: ResilienceConfig,
+        persistent: bool,
+    ) -> None:
+        self.netlists = netlists
+        self.base_config = base_config
+        self.store = store
+        self.resilience = resilience
+        self.supervisor = PoolSupervisor(workers, persistent=persistent)
+
+    def close(self) -> None:
+        """Shut the pool down."""
+        self.supervisor.shutdown()
+
+    def evaluate(self, tasks: list[_Task], stats: SweepStats) -> _Evaluated:
+        groups = _stage_groups(tasks)
+        stats.n_batches += len(groups)
+        fresh: dict[_TaskKey, ExplorationRecord] = {}
+        failures: dict[_TaskKey, SweepFailure] = {}
+        self._supervise(groups, stats, fresh, failures)
+        stats.n_evaluated += len(fresh)
+        stats.n_failed += len(failures)
+        return fresh, failures
 
     @staticmethod
     def _fail_batch(
@@ -1034,15 +992,13 @@ class SweepEngine:
                 attempts=attempts,
             )
 
-    def _execute_parallel_supervised(
+    def _supervise(
         self,
         groups: dict[
             tuple[str, int],
             list[tuple[_TaskKey, ScenarioSpec, DesignPoint]],
         ],
-        netlists: dict[str, Netlist],
         stats: SweepStats,
-        supervisor: PoolSupervisor,
         fresh: dict[_TaskKey, ExplorationRecord],
         failures: dict[_TaskKey, SweepFailure],
     ) -> None:
@@ -1058,6 +1014,7 @@ class SweepEngine:
         """
         cfg = self.resilience
         policy = cfg.retry
+        supervisor = self.supervisor
         # (group key, jobs, batch attempt) triples ready to submit.
         ready: deque = deque(
             (gk, jobs, 1) for gk, jobs in groups.items()
@@ -1070,7 +1027,7 @@ class SweepEngine:
         def submit(gk: tuple[str, int], jobs: list, attempt: int) -> None:
             circuit = gk[0]
             future = supervisor.pool.submit(
-                _evaluate_batch, circuit, netlists[circuit],
+                _evaluate_batch, circuit, self.netlists[circuit],
                 jobs, self.base_config,
                 supervisor.persistent,
                 cfg.fault_plan,
@@ -1087,7 +1044,9 @@ class SweepEngine:
             stats.synthesize_calls += synth_calls
             for key, record in records:
                 fresh[key] = record
-            self._commit(records)
+            # Persist batches as they finish, not in submission order,
+            # so a kill mid-run loses at most the in-flight batches.
+            _persist(self.store, [record for _key, record in records])
             now = time.monotonic()
             for key, failure in batch_failures:
                 seen = task_failures.get(key, 0) + 1
@@ -1154,8 +1113,8 @@ class SweepEngine:
                             "worker process died evaluating this batch",
                         )
                     except Exception as error:
-                        # The batch runner itself blew up (satellite
-                        # bugfix): classify and record, never propagate.
+                        # The batch runner itself blew up: classify and
+                        # record, never propagate.
                         self._fail_batch(
                             gk[0], jobs, failures,
                             error=error, attempts=attempt,
@@ -1203,8 +1162,9 @@ class SweepEngine:
 
         if stats.degraded_to_serial:
             # The parallel ladder is exhausted; drain the remainder
-            # serially in-process, where injected crash faults raise
-            # instead of exiting.  Batches were already counted.
+            # serially in-process (fresh caches), where injected crash
+            # faults raise instead of exiting.  Batches were already
+            # counted.
             leftovers: list[_Task] = []
             for gk, jobs, _attempt in list(ready):
                 for key, scenario, point in jobs:
@@ -1212,9 +1172,9 @@ class SweepEngine:
             for _t, gk, jobs, _attempt in delayed:
                 for key, scenario, point in jobs:
                     leftovers.append((key, gk[0], scenario, point))
-            self._execute_serial(
-                leftovers, netlists, stats, {}, fresh, failures
-            )
+            _SerialExecutor(
+                self.netlists, self.base_config, self.store, cfg
+            ).evaluate_into(leftovers, stats, fresh, failures)
 
     @staticmethod
     def _wait_timeout(in_flight: dict, delayed: list) -> float | None:
@@ -1235,47 +1195,248 @@ class SweepEngine:
             return None
         return max(0.0, min(bounds))
 
-    def _store_keys(self) -> set[_TaskKey]:
-        """Task keys already on disk — the indexed resume lookup.
 
-        Deliberately never ``load()``: resume against a large store
-        must not materialize every record just to learn which points
-        are done.
-        """
-        if self.store is None:
-            return set()
-        return self.store.keys()
+# ---------------------------------------------------------------------------
+# The drivers: one grid walk, one ask/tell loop, for every executor.
+# ---------------------------------------------------------------------------
 
-    def _fetch_records(
-        self, wanted: dict[_TaskKey, tuple[str, str]]
-    ) -> dict[_TaskKey, ExplorationRecord]:
-        """Materialize only the resumed records a run actually needs.
 
-        ``wanted`` maps each task key to its (scenario label, circuit)
-        group; records are fetched with one indexed
-        ``iter_records(scenario=, circuit=)`` query per group.  When a
-        key appears more than once on disk (a torn write healed by
-        re-evaluation), the last record wins — the same rule as store
-        compaction.
-        """
-        resumed: dict[_TaskKey, ExplorationRecord] = {}
-        if self.store is None or not wanted:
-            return resumed
-        by_group: dict[tuple[str, str], set[_TaskKey]] = {}
-        for key, group in wanted.items():
-            by_group.setdefault(group, set()).add(key)
-        for (label, circuit), keys in by_group.items():
-            for record in self.store.iter_records(
-                scenario=label, circuit=circuit
-            ):
-                key = record.key()
-                if key in keys:
-                    resumed[key] = record
-        return resumed
+def run_request(
+    request: "SweepRequest",
+    executor: TaskExecutor,
+    store: ResultStore | None,
+    base_config: DiacConfig | None = None,
+    netlists: dict[str, Netlist] | None = None,
+    workers: int = 1,
+) -> SweepResult:
+    """Drive one request through ``executor`` and assemble its result.
 
-    def _sync_store_metadata(self, axes: object, resume: bool) -> None:
-        """Delegate to the module-level :func:`sync_store_metadata`."""
-        sync_store_metadata(self.store, self.base_config, axes, resume)
+    :meth:`SweepEngine.submit` and
+    :meth:`repro.service.SweepCoordinator.submit` differ only in the
+    executor they pass, so records, failures, stats and aggregates
+    agree across serial, pool and queue execution by construction.
+    ``netlists`` need only hold what the coordinator-side work (static
+    pruning, search screeners) cannot load from the roster itself.
+
+    Records come back in spec order for a grid and in first-proposal
+    task order for a search; failures follow the same order (pruned
+    points first for a grid).  The aggregates fold the records in that
+    order, so ``aggregate.best()`` keeps the same winner on ties as
+    :meth:`SweepResult.best`.
+    """
+    start = time.perf_counter()
+    stats = SweepStats(workers=workers)
+    if request.strategy_name == "grid":
+        records, failures = _drive_grid(
+            request, executor, store, stats, base_config, netlists
+        )
+    else:
+        records, failures = _drive_search(
+            request, executor, store, stats, base_config, netlists
+        )
+    aggregate = SweepAggregator()
+    aggregate.add_many(records)
+    stats.wall_s = time.perf_counter() - start
+    return SweepResult(
+        records=records, stats=stats, failures=failures, aggregate=aggregate
+    )
+
+
+def _drive_grid(
+    request: "SweepRequest",
+    executor: TaskExecutor,
+    store: ResultStore | None,
+    stats: SweepStats,
+    base_config: DiacConfig | None,
+    netlists: dict[str, Netlist] | None,
+) -> tuple[list[ExplorationRecord], list[SweepFailure]]:
+    """The full-factorial walk: resume, prune, evaluate once.
+
+    Resume consults the store's indexed ``keys()`` and fetches only the
+    records the spec needs.  Resume keys cover the circuit, scenario
+    and exact design point but NOT ``base_config``; the store metadata
+    fingerprints the base configuration instead (see
+    :func:`sync_store_metadata`).  With ``analysis_prune`` every
+    pending point is statically analysed first and those proven
+    ``INFEASIBLE`` become ``kind="pruned"`` failures (0 attempts)
+    instead of simulations — every record the run does produce stays
+    bit-identical to a clean sweep's.
+    """
+    spec = request.spec
+    tasks = expand_tasks(spec)
+    stats.n_points = len(tasks)
+    sync_store_metadata(store, base_config, _spec_axes(spec), request.resume)
+
+    resumed: dict[_TaskKey, ExplorationRecord] = {}
+    if request.resume and store is not None:
+        on_disk = store.keys()
+        resumed = fetch_records(
+            store, [task for task in tasks if task[0] in on_disk]
+        )
+    pending = [task for task in tasks if task[0] not in resumed]
+    stats.n_resumed = len(tasks) - len(pending)
+
+    pruned: dict[_TaskKey, SweepFailure] = {}
+    if request.analysis_prune:
+        pending, pruned = prune_tasks(
+            pending, with_circuits(netlists, spec.circuits), base_config
+        )
+        stats.n_pruned = len(pruned)
+
+    fresh, failed = executor.evaluate(pending, stats) if pending else ({}, {})
+    records = []
+    failures = list(pruned.values())
+    for key, *_rest in tasks:
+        record = resumed.get(key, fresh.get(key))
+        if record is not None:
+            records.append(record)
+        elif key in failed:
+            failures.append(failed[key])
+    return records, failures
+
+
+def _drive_search(
+    request: "SweepRequest",
+    executor: TaskExecutor,
+    store: ResultStore | None,
+    stats: SweepStats,
+    base_config: DiacConfig | None,
+    netlists: dict[str, Netlist] | None,
+) -> tuple[list[ExplorationRecord], list[SweepFailure]]:
+    """The ask/evaluate/tell generations of a search strategy.
+
+    Each generation the strategy proposes a batch of
+    :class:`~repro.dse.strategies.Proposal` s; every proposal is
+    crossed with ``spec.circuits`` x ``spec.scenarios``, deduplicated
+    against everything already evaluated (previous generations and —
+    with ``resume`` — the store, whose keys are identical to a grid's),
+    evaluated, and handed back via ``tell``.
+
+    Screening proposals (``scenario_scale != 1``) run under scaled
+    scenarios; their records stream to the store and count in the
+    stats, but the result's records, failures and aggregates only cover
+    the requested scenarios — a point that failed only during screening
+    shows up again (and gets reported) when promoted to full fidelity.
+    """
+    spec = request.spec
+    circuits, scenarios = spec.circuits, spec.scenarios
+    strategy = request.build_strategy(with_circuits(netlists, circuits))
+    sync_store_metadata(
+        store,
+        base_config,
+        {
+            "search": type(strategy).__name__,
+            "circuits": list(circuits),
+            "scenarios": [list(s.identity()) for s in scenarios],
+        },
+        request.resume,
+    )
+    # Resume consults only the store's indexed keys; each generation
+    # fetches just the resumed records its proposals hit.
+    store_keys = (
+        store.keys() if request.resume and store is not None else set()
+    )
+    requested = {scenario.identity() for scenario in scenarios}
+    evaluated: dict[_TaskKey, ExplorationRecord] = {}
+    failed: dict[_TaskKey, SweepFailure] = {}
+    # Every task key in first-proposal order (a dict as ordered set).
+    order: dict[_TaskKey, None] = {}
+    # Keys whose effective scenario is one the caller requested.
+    full_keys: set[_TaskKey] = set()
+
+    for _generation in range(request.effective_max_generations()):
+        proposals = strategy.ask()
+        if not proposals:
+            break
+        stats.n_generations += 1
+
+        proposal_keys: list[tuple[object, list[_TaskKey]]] = []
+        queued: set[_TaskKey] = set()
+        pending: list[_Task] = []
+        resumable: list[_Task] = []
+        for proposal in proposals:
+            keys = []
+            for circuit in circuits:
+                for base_scenario in scenarios:
+                    scenario = proposal.scenario_for(base_scenario)
+                    key = _task_key(circuit, scenario, proposal.point)
+                    keys.append(key)
+                    if scenario.identity() in requested:
+                        full_keys.add(key)
+                    if key in evaluated or key in failed or key in queued:
+                        continue
+                    queued.add(key)
+                    order.setdefault(key)
+                    stats.n_points += 1
+                    task = (key, circuit, scenario, proposal.point)
+                    if key in store_keys:
+                        resumable.append(task)
+                        stats.n_resumed += 1
+                    else:
+                        pending.append(task)
+            proposal_keys.append((proposal, keys))
+
+        if resumable:
+            fetched = fetch_records(store, resumable)
+            evaluated.update(fetched)
+            # Anything keys() promised but iter_records could not
+            # deliver (a store modified underneath a live search) is
+            # re-evaluated instead of silently dropped.
+            pending.extend(t for t in resumable if t[0] not in fetched)
+        if pending:
+            fresh, failures = executor.evaluate(pending, stats)
+            evaluated.update(fresh)
+            failed.update(failures)
+
+        strategy.tell([
+            EvalOutcome(
+                proposal=proposal,
+                records=[evaluated[key] for key in keys if key in evaluated],
+                failures=[failed[key] for key in keys if key in failed],
+            )
+            for proposal, keys in proposal_keys
+        ])
+
+    wanted = [key for key in order if key in full_keys]
+    return (
+        [evaluated[key] for key in wanted if key in evaluated],
+        [failed[key] for key in wanted if key in failed],
+    )
+
+
+class SweepEngine:
+    """Runs sweeps serially or across worker processes.
+
+    Args:
+        workers: process count; 1 (default) evaluates in-process with a
+            single shared synthesis cache, >1 fans batches out over a
+            process pool.
+        base_config: synthesis defaults shared by every point.
+        store: optional streaming result store (any
+            :class:`~repro.dse.store.ResultStore` backend); when given,
+            records are appended as they are produced and
+            ``resume=True`` skips points the store already holds — via
+            the store's indexed ``keys()``, never a full ``load()``.
+        resilience: retry/timeout/pool-supervision configuration
+            (default: the default
+            :class:`~repro.dse.resilience.RetryPolicy`).
+    """
+
+    def __init__(
+        self,
+        workers: int = 1,
+        base_config: DiacConfig | None = None,
+        store: ResultStore | None = None,
+        resilience: ResilienceConfig | None = None,
+    ) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.workers = workers
+        self.base_config = base_config
+        self.store = store
+        self.resilience = (
+            resilience if resilience is not None else ResilienceConfig()
+        )
 
     def submit(
         self,
@@ -1285,13 +1446,13 @@ class SweepEngine:
         """Execute one :class:`~repro.dse.request.SweepRequest`.
 
         The single submission entry point: a ``grid`` request walks its
-        spec full-factorially (the former ``run``); any other strategy
-        — named or instance — is materialized via
+        spec full-factorially; any other strategy — named or instance —
+        is materialized via
         :meth:`~repro.dse.request.SweepRequest.build_strategy` and
         driven ask/tell over ``spec.circuits`` x ``spec.scenarios``
-        (the former ``run_search``).  The distributed
-        :class:`repro.service.SweepCoordinator` consumes the same
-        request object, so switching between in-process and queue-backed
+        (see :func:`run_request`).  The distributed
+        :class:`repro.service.SweepCoordinator` runs the same drivers
+        over a queue, so switching between in-process and queue-backed
         execution never changes what is described, only where it runs.
 
         Args:
@@ -1308,410 +1469,24 @@ class SweepEngine:
             KeyError: for a circuit neither in ``netlists`` nor on the
                 benchmark roster.
         """
-        if request.strategy_name == "grid":
-            return self._run_spec(
-                request.spec,
+        netlists = with_circuits(netlists, request.spec.circuits)
+        executor: _SerialExecutor | _PoolExecutor
+        if self.workers == 1:
+            executor = _SerialExecutor(
+                netlists, self.base_config, self.store, self.resilience
+            )
+        else:
+            executor = _PoolExecutor(
+                self.workers, netlists, self.base_config, self.store,
+                self.resilience,
+                persistent=request.strategy_name != "grid",
+            )
+        try:
+            return run_request(
+                request, executor, self.store,
+                base_config=self.base_config,
                 netlists=netlists,
-                resume=request.resume,
-                analysis_prune=request.analysis_prune,
-            )
-        netlists = dict(netlists or {})
-        for name in request.spec.circuits:
-            if name not in netlists:
-                netlists[name] = load_circuit(name)
-        strategy = request.build_strategy(netlists)
-        return self._run_strategy(
-            strategy,
-            circuits=request.spec.circuits,
-            scenarios=request.spec.scenarios,
-            netlists=netlists,
-            resume=request.resume,
-            max_generations=request.effective_max_generations(),
-        )
-
-    def run(
-        self,
-        spec: SweepSpec,
-        netlists: dict[str, Netlist] | None = None,
-        resume: bool = False,
-        analysis_prune: bool = False,
-    ) -> SweepResult:
-        """Deprecated alias for :meth:`submit` with a grid request.
-
-        Kept for one release as a thin shim; build a
-        :class:`~repro.dse.request.SweepRequest` and call
-        :meth:`submit` instead.
-        """
-        warnings.warn(
-            "SweepEngine.run() is deprecated; build a SweepRequest and "
-            "call SweepEngine.submit()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_spec(
-            spec,
-            netlists=netlists,
-            resume=resume,
-            analysis_prune=analysis_prune,
-        )
-
-    def _run_spec(
-        self,
-        spec: SweepSpec,
-        netlists: dict[str, Netlist] | None = None,
-        resume: bool = False,
-        analysis_prune: bool = False,
-    ) -> SweepResult:
-        """Execute a full-factorial sweep.
-
-        Args:
-            spec: the exploration space.
-            netlists: circuit name -> netlist mapping; roster names are
-                loaded automatically when omitted.
-            analysis_prune: statically analyse every pending point
-                first (:func:`repro.analysis.assess_point`) and skip
-                those proven ``INFEASIBLE`` — the simulator would
-                provably raise on them.  Pruned points are never
-                silently dropped: each becomes a ``kind="pruned"``
-                entry in ``failures`` (0 attempts) and is counted by
-                ``stats.n_pruned``.  Every record the run does produce
-                is bit-identical to a clean sweep's, because only
-                points the simulator cannot finish are pruned.
-            resume: skip points already present in the result store,
-                found via the store's indexed ``keys()`` (the full
-                record set is never loaded).  Resume keys cover the
-                circuit and the exact design point but NOT
-                ``base_config`` — mixing base configurations in one
-                store makes its records incomparable, so the engine
-                fingerprints the base configuration in the store
-                metadata and warns when a run's fingerprint differs
-                from the store's.
-
-        Returns:
-            A :class:`SweepResult` with every record of the spec (fresh
-            and resumed) in spec order, plus run statistics.
-
-        Raises:
-            KeyError: for a circuit neither in ``netlists`` nor on the
-                benchmark roster.
-        """
-        start = time.perf_counter()
-        netlists = dict(netlists or {})
-        for name in spec.circuits:
-            if name not in netlists:
-                netlists[name] = load_circuit(name)
-
-        tasks = expand_tasks(spec)
-        stats = SweepStats(n_points=len(tasks), workers=self.workers)
-        self._sync_store_metadata(_spec_axes(spec), resume)
-
-        resumed: dict[_TaskKey, ExplorationRecord] = {}
-        if resume:
-            on_disk = self._store_keys()
-            resumed = self._fetch_records(
-                {
-                    key: (scenario.label(), circuit)
-                    for key, circuit, scenario, _point in tasks
-                    if key in on_disk
-                }
-            )
-        pending = [task for task in tasks if task[0] not in resumed]
-        stats.n_resumed = len(tasks) - len(pending)
-
-        pruned: dict[_TaskKey, SweepFailure] = {}
-        if analysis_prune:
-            pending, pruned = self._prune_tasks(pending, netlists)
-            stats.n_pruned = len(pruned)
-
-        aggregate = SweepAggregator()
-        self._aggregate = aggregate
-        self._aggregate_keys = None
-        self._aggregated = set()
-        try:
-            self._fold(
-                (key, resumed[key])
-                for key, *_rest in tasks
-                if key in resumed
-            )
-            fresh, failures = self._execute_tasks(pending, netlists, stats)
-        finally:
-            self._aggregate = None
-            self._aggregate_keys = None
-
-        ordered = []
-        for key, *_rest in tasks:
-            record = resumed.get(key) or fresh.get(key)
-            if record is not None:
-                ordered.append(record)
-        stats.wall_s = time.perf_counter() - start
-        return SweepResult(
-            records=ordered,
-            stats=stats,
-            failures=list(pruned.values()) + list(failures.values()),
-            aggregate=aggregate,
-        )
-
-    def _prune_tasks(
-        self,
-        pending: list[_Task],
-        netlists: dict[str, Netlist],
-    ) -> tuple[list[_Task], dict[_TaskKey, SweepFailure]]:
-        """Delegate to the module-level :func:`prune_tasks`."""
-        return prune_tasks(pending, netlists, self.base_config)
-
-    def run_search(
-        self,
-        strategy: SearchStrategy,
-        circuits: tuple[str, ...] = ("s27",),
-        scenarios: tuple[ScenarioSpec, ...] = (ScenarioSpec(),),
-        netlists: dict[str, Netlist] | None = None,
-        resume: bool = False,
-        max_generations: int = 64,
-    ) -> SweepResult:
-        """Deprecated alias for :meth:`submit` with a strategy request.
-
-        Kept for one release as a thin shim; build a
-        :class:`~repro.dse.request.SweepRequest` (passing the strategy
-        instance or its registry name) and call :meth:`submit` instead.
-        """
-        warnings.warn(
-            "SweepEngine.run_search() is deprecated; build a "
-            "SweepRequest and call SweepEngine.submit()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_strategy(
-            strategy,
-            circuits=circuits,
-            scenarios=scenarios,
-            netlists=netlists,
-            resume=resume,
-            max_generations=max_generations,
-        )
-
-    def _run_strategy(
-        self,
-        strategy: SearchStrategy,
-        circuits: tuple[str, ...] = ("s27",),
-        scenarios: tuple[ScenarioSpec, ...] = (ScenarioSpec(),),
-        netlists: dict[str, Netlist] | None = None,
-        resume: bool = False,
-        max_generations: int = 64,
-    ) -> SweepResult:
-        """Drive an ask/tell search strategy through the sweep machinery.
-
-        Each generation the strategy proposes a batch of
-        :class:`~repro.dse.strategies.Proposal` s; every proposal is
-        crossed with ``circuits`` x ``scenarios``, deduplicated against
-        everything already evaluated (including previous generations and
-        — with ``resume=True`` — the result store, whose keys are
-        identical to :meth:`run`'s and are consulted via the indexed
-        ``keys()`` lookup), evaluated through the shared
-        synthesis-cache/process-pool/store path, and handed back via
-        ``tell``.
-
-        Screening proposals (``scenario_scale != 1``) are evaluated
-        under the correspondingly scaled scenarios; their records stream
-        to the store like any others but are *excluded* from the
-        result's ``records`` and ``failures``, which only cover the
-        requested ``scenarios`` (the stats still count every
-        evaluation, screening included).
-
-        Args:
-            strategy: the search to drive.
-            circuits: circuits every proposal is evaluated on.
-            scenarios: harvest environments every proposal is evaluated
-                under.
-            netlists: circuit name -> netlist mapping; roster names are
-                loaded automatically when omitted.
-            resume: reuse records already present in the result store.
-            max_generations: hard stop for strategies that never return
-                an empty ask.
-
-        Returns:
-            A :class:`SweepResult` whose records are the full-fidelity
-            evaluations in first-evaluation order.
-        """
-        start = time.perf_counter()
-        if not circuits:
-            raise ValueError("circuits must be non-empty")
-        if not scenarios:
-            raise ValueError("scenarios must be non-empty")
-        netlists = dict(netlists or {})
-        for name in circuits:
-            if name not in netlists:
-                netlists[name] = load_circuit(name)
-
-        stats = SweepStats(workers=self.workers)
-        self._sync_store_metadata(
-            {
-                "search": type(strategy).__name__,
-                "circuits": list(circuits),
-                "scenarios": [list(s.identity()) for s in scenarios],
-            },
-            resume,
-        )
-        # Resume consults only the store's indexed keys; the records a
-        # generation actually resumes are fetched group by group inside
-        # the loop.  With resume off, nothing on disk is read at all.
-        store_keys = self._store_keys() if resume else set()
-        evaluated: dict[_TaskKey, ExplorationRecord] = {}
-        failed: dict[_TaskKey, SweepFailure] = {}
-        caches: dict[str, SynthesisCache] = {}
-        # One supervised pool for the whole search: worker processes
-        # survive across generations, so their process-global synthesis
-        # caches keep a (circuit, policy) stage warm from generation 1
-        # to generation N — without this, parallel searches would
-        # re-synthesize every stage each generation.  The supervisor
-        # also carries pool deaths across generations: a pool that died
-        # mid-generation is already rebuilt when the next ask() lands.
-        supervisor = (
-            PoolSupervisor(self.workers, persistent=True)
-            if self.workers > 1
-            else None
-        )
-
-        full_keys: set[_TaskKey] = set()
-        aggregate = SweepAggregator()
-        self._aggregate = aggregate
-        # Restrict aggregation to full-fidelity keys: screening
-        # evaluations stream to the store like any others but stay out
-        # of the user-facing aggregates, exactly like the result's
-        # records.  full_keys is the live set — it grows before each
-        # generation executes.
-        self._aggregate_keys = full_keys
-        self._aggregated = set()
-        try:
-            self._search_loop(
-                strategy, circuits, scenarios, netlists, stats,
-                store_keys, evaluated, failed, caches, supervisor,
-                max_generations, full_keys,
-            )
-            # A key can join full_keys *after* its record was produced
-            # (a later generation re-proposes it at full fidelity);
-            # _fold's once-per-key tracking makes this sweep-up fold
-            # exactly the stragglers.
-            self._fold(
-                (key, evaluated[key])
-                for key in full_keys
-                if key in evaluated
+                workers=self.workers,
             )
         finally:
-            self._aggregate = None
-            self._aggregate_keys = None
-            if supervisor is not None:
-                supervisor.shutdown()
-
-        # Screening evaluations (scaled scenarios the user never asked
-        # for) are engine internals: they count in the stats, but the
-        # result's records AND failures only cover the requested
-        # scenarios — a point that failed only during screening shows up
-        # again (and gets reported) when promoted to full fidelity.
-        records = [
-            evaluated[key] for key in evaluated if key in full_keys
-        ]
-        failures = [failed[key] for key in failed if key in full_keys]
-        stats.wall_s = time.perf_counter() - start
-        return SweepResult(
-            records=records,
-            stats=stats,
-            failures=failures,
-            aggregate=aggregate,
-        )
-
-    def _search_loop(
-        self,
-        strategy: SearchStrategy,
-        circuits: tuple[str, ...],
-        scenarios: tuple[ScenarioSpec, ...],
-        netlists: dict[str, Netlist],
-        stats: SweepStats,
-        store_keys: set[_TaskKey],
-        evaluated: dict[_TaskKey, ExplorationRecord],
-        failed: dict[_TaskKey, SweepFailure],
-        caches: dict[str, SynthesisCache],
-        supervisor: PoolSupervisor | None,
-        max_generations: int,
-        full_keys: set[_TaskKey],
-    ) -> None:
-        """The ask/evaluate/tell generations of :meth:`run_search`.
-
-        ``full_keys`` collects every task key whose effective scenario
-        is one the caller requested (``scenario_scale == 1`` proposals),
-        so the result can separate full-fidelity outcomes from
-        screening internals.  ``store_keys`` is the indexed resume set;
-        each generation batch-fetches just the resumed records its
-        proposals actually hit.
-        """
-        requested = {scenario.identity() for scenario in scenarios}
-        for _generation in range(max_generations):
-            proposals = strategy.ask()
-            if not proposals:
-                break
-            stats.n_generations += 1
-
-            proposal_keys: list[tuple[object, list[_TaskKey]]] = []
-            pending: list[_Task] = []
-            pending_keys: set[_TaskKey] = set()
-            resume_hits: dict[_TaskKey, tuple[str, str]] = {}
-            resume_tasks: dict[_TaskKey, _Task] = {}
-            for proposal in proposals:
-                keys = []
-                for circuit in circuits:
-                    for base_scenario in scenarios:
-                        scenario = proposal.scenario_for(base_scenario)
-                        key = _task_key(circuit, scenario, proposal.point)
-                        keys.append(key)
-                        if scenario.identity() in requested:
-                            full_keys.add(key)
-                        if (
-                            key in evaluated
-                            or key in failed
-                            or key in pending_keys
-                            or key in resume_hits
-                        ):
-                            continue
-                        stats.n_points += 1
-                        if key in store_keys:
-                            resume_hits[key] = (scenario.label(), circuit)
-                            resume_tasks[key] = (key, circuit, scenario,
-                                                 proposal.point)
-                            stats.n_resumed += 1
-                            continue
-                        pending_keys.add(key)
-                        pending.append((key, circuit, scenario,
-                                        proposal.point))
-                proposal_keys.append((proposal, keys))
-
-            if resume_hits:
-                fetched = self._fetch_records(resume_hits)
-                evaluated.update(fetched)
-                self._fold(fetched.items())
-                # Anything keys() promised but iter_records could not
-                # deliver (a store modified underneath a live search)
-                # is re-evaluated instead of silently dropped.
-                for key, task in resume_tasks.items():
-                    if key not in fetched and key not in pending_keys:
-                        pending_keys.add(key)
-                        pending.append(task)
-
-            fresh, failures = self._execute_tasks(
-                pending, netlists, stats, caches=caches,
-                supervisor=supervisor,
-            )
-            evaluated.update(fresh)
-            failed.update(failures)
-
-            outcomes = [
-                EvalOutcome(
-                    proposal=proposal,
-                    records=[
-                        evaluated[key] for key in keys if key in evaluated
-                    ],
-                    failures=[
-                        failed[key] for key in keys if key in failed
-                    ],
-                )
-                for proposal, keys in proposal_keys
-            ]
-            strategy.tell(outcomes)
+            executor.close()

@@ -389,11 +389,11 @@ def expand_points(
 ) -> list[DesignPoint]:
     """Full-factorial expansion of the design-point axes, in canonical order.
 
-    The single expansion shared by :meth:`DesignSpaceExplorer.sweep` and
-    :meth:`repro.dse.engine.SweepSpec.points`, so a new design axis only
-    ever needs threading through one product.  Environment axes
-    (circuits, scenarios) are not design-point fields; the engine
-    crosses them with this product itself.
+    The single expansion behind :meth:`repro.dse.engine.SweepSpec.points`
+    (and so behind every grid sweep), so a new design axis only ever
+    needs threading through one product.  Environment axes (circuits,
+    scenarios) are not design-point fields; the engine crosses them with
+    this product itself.
     """
     return [
         DesignPoint(
@@ -417,71 +417,3 @@ def expand_points(
             )
         )
     ]
-
-
-class DesignSpaceExplorer:
-    """Sweep DIAC configurations over one circuit, serially.
-
-    A thin convenience wrapper over :func:`evaluate_point` with a
-    per-instance :class:`SynthesisCache`; multi-circuit, parallel and
-    resumable sweeps are the job of
-    :class:`repro.dse.engine.SweepEngine`.
-
-    Args:
-        netlist: the design under exploration.
-        base_config: starting configuration (defaults shared by all
-            points).
-        scenario: harvest environment shared by every evaluation (the
-            paper's Fig. 5 trace when omitted).
-    """
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        base_config: DiacConfig | None = None,
-        scenario: ScenarioSpec | None = None,
-    ) -> None:
-        self.netlist = netlist
-        self.base_config = base_config or DiacConfig()
-        self.scenario = scenario
-        self.cache = SynthesisCache()
-
-    def evaluate_point(self, point: DesignPoint) -> ExplorationRecord:
-        """Synthesize and execute one design point."""
-        return evaluate_point(
-            self.netlist,
-            point,
-            base_config=self.base_config,
-            cache=self.cache,
-            scenario=self.scenario,
-        )
-
-    def sweep(
-        self,
-        policies: tuple[int, ...] = (1, 2, 3),
-        budget_scales: tuple[float, ...] = (0.5, 1.0, 2.0),
-        technologies: tuple[NvmTechnology, ...] = (MRAM,),
-        safe_zones: tuple[bool, ...] = (True, False),
-        criteria_sets: tuple[ReplacementCriteria, ...] = (
-            ReplacementCriteria(),
-        ),
-        threshold_scales: tuple[float, ...] = (1.0,),
-        safe_margin_scales: tuple[float | None, ...] = (None,),
-    ) -> list[ExplorationRecord]:
-        """Full-factorial sweep over the given axes."""
-        points = expand_points(
-            policies,
-            budget_scales,
-            technologies,
-            criteria_sets,
-            safe_zones,
-            threshold_scales,
-            safe_margin_scales,
-        )
-        return [self.evaluate_point(point) for point in points]
-
-    def best(self, records: list[ExplorationRecord]) -> ExplorationRecord:
-        """The PDP-optimal record."""
-        if not records:
-            raise ValueError("no records to choose from")
-        return min(records, key=lambda r: r.pdp_js)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import time
 from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -74,6 +75,37 @@ ON CONFLICT(point_key) DO UPDATE SET
     reexec_energy_j = excluded.reexec_energy_j,
     data = excluded.data
 """
+
+
+def connect_wal(
+    path: Path, schema: str, busy_timeout_s: float
+) -> sqlite3.Connection:
+    """Open ``path`` in WAL mode and create ``schema``'s tables.
+
+    Safe against concurrent openers of one fresh file (a coordinator
+    and its workers).  Switching to WAL needs an exclusive lock, and
+    SQLite reports "database is locked" at once, without waiting in the
+    busy handler, when two connections race for it; the switch is
+    retried until ``busy_timeout_s`` runs out.  The schema script runs
+    under ``BEGIN IMMEDIATE``, so racing creators queue on the write
+    lock instead of failing on a stale read.
+    """
+    conn = sqlite3.connect(
+        path, timeout=busy_timeout_s, check_same_thread=False
+    )
+    deadline = time.monotonic() + busy_timeout_s
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            break
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() > deadline:
+                conn.close()
+                raise
+            time.sleep(0.005)
+    conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
+    conn.executescript(f"BEGIN IMMEDIATE;{schema}COMMIT;")
+    return conn
 
 
 def encode_key(key: tuple) -> str:
@@ -123,26 +155,20 @@ class SqliteResultStore(StoreQueryMixin):
         #: Kept for interface symmetry with the JSONL store; SQLite
         #: refuses to read a damaged database rather than skip lines.
         self.last_load_skipped = 0
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(
-            f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}"
-        )
+        self._conn = connect_wal(self.path, _SCHEMA, busy_timeout_s)
         self._conn.execute(
             "PRAGMA synchronous="
             + ("FULL" if fsync_every >= 1 else "NORMAL")
         )
         with self._conn:
-            self._conn.executescript(_SCHEMA)
+            self._conn.execute(
+                "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
+                ("schema_version", json.dumps(STORE_SCHEMA_VERSION)),
+            )
             row = self._conn.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             ).fetchone()
-            if row is None:
-                self._conn.execute(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", json.dumps(STORE_SCHEMA_VERSION)),
-                )
-            elif json.loads(row[0]) > STORE_SCHEMA_VERSION:
+            if json.loads(row[0]) > STORE_SCHEMA_VERSION:
                 raise ValueError(
                     f"{self.path} was written under store schema "
                     f"{json.loads(row[0])}; this build reads up to "

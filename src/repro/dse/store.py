@@ -225,7 +225,7 @@ def config_fingerprint(config: "DiacConfig | None") -> str:
     Stored in the result store's metadata so a resume against a store
     written under a *different* base configuration can warn instead of
     silently mixing incomparable records (see
-    :meth:`repro.dse.engine.SweepEngine.run`).
+    :func:`repro.dse.engine.sync_store_metadata`).
     """
     from dataclasses import asdict
 

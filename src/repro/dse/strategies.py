@@ -16,7 +16,7 @@ tool the moment the space grows a few axes, so this module turns the
 * :class:`SearchStrategy` — an ask/tell protocol: a strategy proposes a
   batch of :class:`Proposal` s, the engine evaluates them through its
   existing synthesis-cache/process-pool/JSONL-store machinery
-  (:meth:`repro.dse.engine.SweepEngine.run_search`), and the outcomes
+  (:meth:`repro.dse.engine.SweepEngine.submit`), and the outcomes
   flow back via :meth:`~SearchStrategy.tell`;
 * four implementations — :class:`GridStrategy` (the classic
   full-factorial walk, demoted to one strategy among peers),
@@ -28,7 +28,7 @@ tool the moment the space grows a few axes, so this module turns the
 
 Every strategy is a pure function of its seed: two runs with the same
 space, seed and outcomes propose identical points, which is what lets
-``run_search`` resume from a partial JSONL store with unchanged keys.
+a search resume from a partial store with unchanged keys.
 """
 
 from __future__ import annotations
@@ -371,7 +371,7 @@ class GridStrategy:
     """The classic full-factorial walk, as one strategy among peers.
 
     Proposes the whole grid in a single generation — exactly what
-    :meth:`~repro.dse.engine.SweepEngine.run` does for a
+    a ``grid`` :class:`~repro.dse.request.SweepRequest` does for a
     :class:`~repro.dse.engine.SweepSpec`, expressed through the ask/tell
     protocol so grids and adaptive searches run through one loop.
     """

@@ -174,17 +174,7 @@ def evaluate_design(
         from repro.dse.batch import LaneSpec, run_batch
 
         outcomes = run_batch(
-            [
-                LaneSpec(
-                    profile=profile,
-                    e_max_j=env.e_max_j,
-                    trace=env.trace,
-                    thresholds=env.thresholds,
-                    sleep_drain_w=env.sleep_drain_w,
-                    work_target_j=env.n_passes * profile.pass_energy_j,
-                )
-                for profile in profs
-            ]
+            [LaneSpec.for_environment(profile, env) for profile in profs]
         )
         for profile, result in zip(profs, outcomes):
             evaluation.results[profile.name] = result
@@ -250,16 +240,7 @@ def evaluate_suite(
         )
         evaluations.append(evaluation)
         for profile in all_profiles(design):
-            lanes.append(
-                LaneSpec(
-                    profile=profile,
-                    e_max_j=env.e_max_j,
-                    trace=env.trace,
-                    thresholds=env.thresholds,
-                    sleep_drain_w=env.sleep_drain_w,
-                    work_target_j=env.n_passes * profile.pass_energy_j,
-                )
-            )
+            lanes.append(LaneSpec.for_environment(profile, env))
             slots.append((evaluation, profile.name))
     for (evaluation, scheme), result in zip(slots, run_batch(lanes)):
         evaluation.results[scheme] = result

@@ -13,9 +13,9 @@ prepared outside the timed section:
 * ``sweep-serial`` / ``sweep-warm`` / ``sweep-parallel`` —
   :class:`repro.dse.engine.SweepEngine` end-to-end throughput, cold
   versus warm synthesis cache and serial versus process-pool fan-out;
-* ``sweep-resilience`` — the same serial workload with the fault
-  recovery layer enabled versus disabled (A/B interleaved), reporting
-  the measured ``overhead_vs_disabled`` ratio;
+* ``sweep-resilience`` — the same serial workload with the default
+  retry policy versus retries off (A/B interleaved), reporting the
+  measured ``overhead_vs_disabled`` ratio;
 * ``static-analysis`` — the :mod:`repro.analysis` subsystem: interval
   bound computation rate, the measured speedup (and deterministic
   prune fraction) of an ``analysis_prune`` sweep over a grid with a
@@ -297,27 +297,26 @@ def _sweep_parallel(repeats: int) -> SuiteResult:
 def _sweep_resilience(repeats: int) -> SuiteResult:
     """Overhead of the resilience layer on a fault-free serial sweep.
 
-    Times the supervised engine (retry loop, failure classification,
-    deadline bookkeeping) against the same workload with resilience
-    disabled, interleaved A/B so load drift cancels.  The recorded
-    ``overhead_vs_disabled`` ratio is the acceptance number for the
-    robustness layer: recovery machinery must be ~free when nothing
-    fails (see docs/robustness.md).
+    Times the default engine (retry loop, failure classification,
+    deadline bookkeeping) against the same workload with retries off
+    (``RetryPolicy(max_attempts=1)``), interleaved A/B so load drift
+    cancels.  The recorded ``overhead_vs_disabled`` ratio is the
+    acceptance number for the robustness layer: recovery machinery must
+    be ~free when nothing fails (see docs/robustness.md).
     """
-    from repro.dse import ResilienceConfig, SweepEngine, SweepRequest
+    from repro.dse import ResilienceConfig, RetryPolicy, SweepEngine, SweepRequest
     from repro.perf.timing import time_paired
     from repro.suite import load_circuit
 
     request = SweepRequest(spec=_sweep_spec())
     netlists = {SWEEP_CIRCUIT: load_circuit(SWEEP_CIRCUIT)}
+    no_retries = ResilienceConfig(retry=RetryPolicy(max_attempts=1))
 
     def run_supervised():
         return SweepEngine(workers=1).submit(request, netlists=netlists)
 
     def run_bare():
-        engine = SweepEngine(
-            workers=1, resilience=ResilienceConfig.disabled()
-        )
+        engine = SweepEngine(workers=1, resilience=no_retries)
         return engine.submit(request, netlists=netlists)
 
     timing, baseline, result = time_paired(
@@ -336,20 +335,26 @@ def _sweep_resilience(repeats: int) -> SuiteResult:
 
 
 def _sweep_warm(repeats: int) -> SuiteResult:
-    from repro.dse import DesignSpaceExplorer
+    from repro.dse.explorer import SynthesisCache, evaluate_point, expand_points
     from repro.suite import load_circuit
 
-    explorer = DesignSpaceExplorer(load_circuit(SWEEP_CIRCUIT))
-    axes = dict(
-        policies=(1, 2, 3),
-        budget_scales=(0.5, 1.0, 2.0),
-        safe_zones=(True, False),
+    netlist = load_circuit(SWEEP_CIRCUIT)
+    spec = _sweep_spec()
+    points = expand_points(
+        spec.policies,
+        spec.budget_scales,
+        spec.technologies,
+        spec.criteria_sets,
+        spec.safe_zones,
+        spec.threshold_scales,
+        spec.safe_margin_scales,
     )
-    explorer.sweep(**axes)  # populate the synthesis cache
+    cache = SynthesisCache()
 
     def run_warm():
-        return explorer.sweep(**axes)
+        return [evaluate_point(netlist, point, cache=cache) for point in points]
 
+    run_warm()  # populate the synthesis cache
     timing, records = time_call(run_warm, repeats=repeats)
     return SuiteResult(
         name="sweep-warm",
@@ -358,8 +363,8 @@ def _sweep_warm(repeats: int) -> SuiteResult:
         counters={
             "circuit": SWEEP_CIRCUIT,
             "points": len(records),
-            "cached_stages": len(explorer.cache),
-            "synthesize_calls": explorer.cache.synthesize_calls,
+            "cached_stages": len(cache),
+            "synthesize_calls": cache.synthesize_calls,
         },
     )
 
@@ -770,6 +775,8 @@ def _executor_batch(repeats: int) -> SuiteResult:
     (``tests/test_batch_executor.py``); ``speedup_vs_scalar`` is the
     batch kernel's acceptance number.
     """
+    from dataclasses import replace
+
     from repro.baselines.schemes import all_profiles
     from repro.core.diac import DiacSynthesizer
     from repro.dse.batch import LaneSpec, run_batch
@@ -790,12 +797,8 @@ def _executor_batch(repeats: int) -> SuiteResult:
             )
             for prof in profiles:
                 specs.append(
-                    LaneSpec(
-                        profile=prof,
-                        e_max_j=env.e_max_j,
-                        trace=env.trace,
-                        thresholds=env.thresholds,
-                        sleep_drain_w=env.sleep_drain_w,
+                    replace(
+                        LaneSpec.for_environment(prof, env),
                         work_target_j=(
                             BATCH_WORK_MULTIPLIER
                             * env.n_passes

@@ -6,16 +6,15 @@
 :class:`~repro.dse.engine.SweepResult` out, but evaluation happens in
 plain worker processes (``repro worker``) pulling stage-batch leases
 from a :class:`~repro.service.queue.LeaseQueue` and upserting into the
-shared SQLite store:
+shared SQLite store.
 
-* **grid requests** enqueue the spec's deduplicated task list (resume
-  filtering and static pruning applied exactly as the engine would)
-  and poll the queue down to zero;
-* **named search strategies** run the ask/tell loop *in* the
-  coordinator — the same dedup/resume/full-fidelity bookkeeping as the
-  engine's generational loop — with each generation's evaluations
-  fanned through the queue while the workers (and their process-global
-  synthesis caches) stay alive across generations.
+The coordinator runs the engine's own drivers
+(:func:`~repro.dse.engine.run_request`) with a queue-backed executor.
+A grid enqueues the spec's pending tasks once (after the driver's
+resume filtering and static pruning); a named search strategy runs its
+ask/tell loop *in* the coordinator, each generation's evaluations
+fanned through the queue while the workers (and their process-global
+synthesis caches) stay alive across generations.
 
 The coordinator also supervises: expired leases are reclaimed, dead
 worker processes are respawned up to a budget, and when no worker is
@@ -32,32 +31,25 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 from repro.circuits.netlist import Netlist
 from repro.core.diac import DiacConfig
-from repro.dse.aggregate import SweepAggregator
 from repro.dse.engine import (
     SweepFailure,
     SweepResult,
     SweepStats,
-    _spec_axes,
-    _task_key,
-    expand_tasks,
-    prune_tasks,
-    sync_store_metadata,
+    _Evaluated,
+    _Task,
+    fetch_records,
+    run_request,
 )
 from repro.dse.request import SweepRequest
 from repro.dse.resilience import ResilienceConfig
 from repro.dse.sqlite_store import SqliteResultStore
 from repro.dse.store import open_store
-from repro.dse.strategies import EvalOutcome
-from repro.energy.scenarios import ScenarioSpec
 from repro.service.queue import LeaseQueue
-from repro.suite.registry import load_circuit
-
-#: One evaluation task, the engine's shape.
-_Task = tuple[tuple, str, ScenarioSpec, "object"]
 
 
 class SweepCoordinator:
@@ -212,12 +204,11 @@ class SweepCoordinator:
     ) -> SweepResult:
         """Execute one request across the worker fleet.
 
-        Mirrors :meth:`SweepEngine.submit
-        <repro.dse.engine.SweepEngine.submit>`: grid requests shard the
-        spec walk, named strategies run the generational loop with
-        queue-fanned evaluations.  The result's ``records`` come back
-        from the shared store in the engine's order (spec order for
-        grids, first-evaluation order for searches).
+        Runs the same drivers as :meth:`SweepEngine.submit
+        <repro.dse.engine.SweepEngine.submit>` with the queue as the
+        executor, so the result matches the engine's — records in spec
+        order for grids and first-proposal task order for searches —
+        but its records are read back from the shared store.
 
         Args:
             request: what to explore and how.  Strategy *instances* are
@@ -273,12 +264,17 @@ class SweepCoordinator:
                     port=self.http_port,
                 )
                 view.start_background()
-            if request.strategy_name == "grid":
-                return self._submit_grid(
-                    request, netlists, sources, store, queue
-                )
-            return self._submit_search(
-                request, netlists, sources, store, queue
+            queue.clear_tasks()
+            queue.set_state("open")
+            for _ in range(self.workers):
+                self._spawn_worker()
+            return run_request(
+                request,
+                _QueueExecutor(queue, store, sources, self._await_queue),
+                store,
+                base_config=self.base_config,
+                netlists=netlists,
+                workers=self.workers,
             )
         finally:
             if view is not None:
@@ -311,31 +307,37 @@ class SweepCoordinator:
                 return
             time.sleep(self.poll_s)
 
-    def _fetch_group_records(
-        self,
-        store: SqliteResultStore,
-        wanted: dict[tuple, tuple[str, str]],
-    ) -> dict[tuple, "object"]:
-        """Engine-shaped group fetch: one indexed query per group."""
-        fetched: dict[tuple, object] = {}
-        by_group: dict[tuple[str, str], set[tuple]] = {}
-        for key, group in wanted.items():
-            by_group.setdefault(group, set()).add(key)
-        for (label, circuit), keys in by_group.items():
-            for record in store.iter_records(
-                scenario=label, circuit=circuit
-            ):
-                if record.key() in keys:
-                    fetched[record.key()] = record
-        return fetched
 
-    def _queue_failures(
-        self, queue: LeaseQueue, keys: set[tuple] | None = None
-    ) -> dict[tuple, SweepFailure]:
-        """The queue's failed rows as engine failures, keyed by task."""
-        failures: dict[tuple, SweepFailure] = {}
-        for entry in queue.failures():
-            failures[tuple(entry["key"])] = SweepFailure(
+class _QueueExecutor:
+    """The engine drivers' executor for queue-fed worker processes.
+
+    Each batch is enqueued, awaited under the coordinator's supervision
+    and read back: the fresh records from the shared store (workers
+    write the store before they resolve a lease), the failures from
+    the queue's failed rows.  Failed keys are never read from the
+    store, so a stale record from an earlier run of a reused store
+    cannot stand in for a point this run failed.
+    """
+
+    def __init__(
+        self,
+        queue: LeaseQueue,
+        store: SqliteResultStore,
+        sources: dict[str, str] | None,
+        await_queue: Callable[[LeaseQueue, list[tuple]], None],
+    ) -> None:
+        self.queue = queue
+        self.store = store
+        self.sources = sources
+        self.await_queue = await_queue
+
+    def evaluate(self, tasks: list[_Task], stats: SweepStats) -> _Evaluated:
+        keys = [key for key, *_rest in tasks]
+        self.queue.enqueue(tasks, sources=self.sources)
+        self.await_queue(self.queue, keys)
+        wanted = set(keys)
+        failures = {
+            key: SweepFailure(
                 circuit=entry["circuit"],
                 label=entry["label"],
                 error=entry["error"],
@@ -343,237 +345,14 @@ class SweepCoordinator:
                 kind=entry["kind"],
                 attempts=entry["attempts"],
             )
-        if keys is not None:
-            failures = {
-                key: failure
-                for key, failure in failures.items()
-                if key in keys
-            }
-        return failures
-
-    def _submit_grid(
-        self,
-        request: SweepRequest,
-        netlists: dict[str, Netlist] | None,
-        sources: dict[str, str] | None,
-        store: SqliteResultStore,
-        queue: LeaseQueue,
-    ) -> SweepResult:
-        start = time.perf_counter()
-        spec = request.spec
-        tasks = expand_tasks(spec)
-        stats = SweepStats(n_points=len(tasks), workers=self.workers)
-        sync_store_metadata(
-            store, self.base_config, _spec_axes(spec), request.resume
-        )
-
-        resumed_keys: set[tuple] = set()
-        if request.resume:
-            on_disk = store.keys()
-            resumed_keys = {
-                key for key, *_rest in tasks if key in on_disk
-            }
-        pending = [t for t in tasks if t[0] not in resumed_keys]
-        stats.n_resumed = len(tasks) - len(pending)
-
-        pruned: dict[tuple, SweepFailure] = {}
-        if request.analysis_prune:
-            loaded = dict(netlists or {})
-            for name in spec.circuits:
-                if name not in loaded:
-                    loaded[name] = load_circuit(name)
-            pending, pruned = prune_tasks(
-                pending, loaded, self.base_config
-            )
-            stats.n_pruned = len(pruned)
-
-        queue.clear_tasks()
-        queue.set_state("open")
-        queue.enqueue(pending, sources=sources)
-        for _ in range(self.workers):
-            self._spawn_worker()
-        self._await_queue(queue, [key for key, *_r in pending])
-        queue.set_state("closed")
-
-        counts = queue.counts_for([key for key, *_r in pending])
-        stats.n_evaluated = counts["n_done"]
-        stats.n_failed = counts["n_failed"]
-        stats.n_retries = counts["n_retries"]
-
-        # The run's records = this run's resolved tasks, read back from
-        # the shared store.  Failed and pruned keys are excluded so a
-        # stale on-disk record (resume=False against a reused store)
-        # can never smuggle a point this run did not produce.
-        failures = self._queue_failures(queue)
-        wanted = {
-            key: (scenario.label(), circuit)
-            for key, circuit, scenario, _point in tasks
-            if key not in failures and key not in pruned
+            for entry in self.queue.failures()
+            if (key := tuple(entry["key"])) in wanted
         }
-        records_by_key = self._fetch_group_records(store, wanted)
-        aggregate = SweepAggregator()
-        ordered = []
-        for key, *_rest in tasks:
-            record = records_by_key.get(key)
-            if record is not None:
-                ordered.append(record)
-        aggregate.add_many(ordered)
-        stats.wall_s = time.perf_counter() - start
-        return SweepResult(
-            records=ordered,
-            stats=stats,
-            failures=list(pruned.values()) + list(failures.values()),
-            aggregate=aggregate,
+        fresh = fetch_records(
+            self.store, [task for task in tasks if task[0] not in failures]
         )
-
-    def _submit_search(
-        self,
-        request: SweepRequest,
-        netlists: dict[str, Netlist] | None,
-        sources: dict[str, str] | None,
-        store: SqliteResultStore,
-        queue: LeaseQueue,
-    ) -> SweepResult:
-        start = time.perf_counter()
-        spec = request.spec
-        circuits = spec.circuits
-        scenarios = spec.scenarios
-        loaded = dict(netlists or {})
-        for name in circuits:
-            if name not in loaded:
-                loaded[name] = load_circuit(name)
-        strategy = request.build_strategy(loaded)
-
-        stats = SweepStats(workers=self.workers)
-        sync_store_metadata(
-            store,
-            self.base_config,
-            {
-                "search": type(strategy).__name__,
-                "circuits": list(circuits),
-                "scenarios": [list(s.identity()) for s in scenarios],
-            },
-            request.resume,
-        )
-        store_keys = store.keys() if request.resume else set()
-
-        queue.clear_tasks()
-        queue.set_state("open")
-        for _ in range(self.workers):
-            self._spawn_worker()
-
-        requested = {scenario.identity() for scenario in scenarios}
-        evaluated: dict[tuple, object] = {}
-        failed: dict[tuple, SweepFailure] = {}
-        full_keys: set[tuple] = set()
-        order: list[tuple] = []
-
-        for _generation in range(request.effective_max_generations()):
-            proposals = strategy.ask()
-            if not proposals:
-                break
-            stats.n_generations += 1
-
-            proposal_keys: list[tuple[object, list[tuple]]] = []
-            pending: list[_Task] = []
-            pending_keys: set[tuple] = set()
-            resume_hits: dict[tuple, tuple[str, str]] = {}
-            resume_tasks: dict[tuple, _Task] = {}
-            for proposal in proposals:
-                keys = []
-                for circuit in circuits:
-                    for base_scenario in scenarios:
-                        scenario = proposal.scenario_for(base_scenario)
-                        key = _task_key(circuit, scenario, proposal.point)
-                        keys.append(key)
-                        if scenario.identity() in requested:
-                            full_keys.add(key)
-                        if (
-                            key in evaluated
-                            or key in failed
-                            or key in pending_keys
-                            or key in resume_hits
-                        ):
-                            continue
-                        stats.n_points += 1
-                        if key in store_keys:
-                            resume_hits[key] = (
-                                scenario.label(), circuit,
-                            )
-                            resume_tasks[key] = (
-                                key, circuit, scenario, proposal.point,
-                            )
-                            stats.n_resumed += 1
-                            continue
-                        pending_keys.add(key)
-                        pending.append(
-                            (key, circuit, scenario, proposal.point)
-                        )
-                proposal_keys.append((proposal, keys))
-
-            if resume_hits:
-                fetched = self._fetch_group_records(store, resume_hits)
-                for key, record in fetched.items():
-                    evaluated[key] = record
-                    order.append(key)
-                for key, task in resume_tasks.items():
-                    if key not in fetched and key not in pending_keys:
-                        pending_keys.add(key)
-                        pending.append(task)
-
-            if pending:
-                queue.enqueue(pending, sources=sources)
-                self._await_queue(queue, [key for key, *_r in pending])
-                wanted = {
-                    key: (scenario.label(), circuit)
-                    for key, circuit, scenario, _point in pending
-                }
-                fresh = self._fetch_group_records(store, wanted)
-                for key, circuit, scenario, _point in pending:
-                    if key in fresh:
-                        evaluated[key] = fresh[key]
-                        order.append(key)
-                new_failures = self._queue_failures(queue, pending_keys)
-                failed.update(new_failures)
-
-            outcomes = [
-                EvalOutcome(
-                    proposal=proposal,
-                    records=[
-                        evaluated[key]
-                        for key in keys
-                        if key in evaluated
-                    ],
-                    failures=[
-                        failed[key] for key in keys if key in failed
-                    ],
-                )
-                for proposal, keys in proposal_keys
-            ]
-            strategy.tell(outcomes)
-
-        queue.set_state("closed")
-        counts = queue.counts_for(list(evaluated) + list(failed))
-        stats.n_evaluated = counts["n_done"]
-        stats.n_failed = counts["n_failed"]
-        stats.n_retries = counts["n_retries"]
-
-        records = [
-            evaluated[key]
-            for key in order
-            if key in full_keys and key in evaluated
-        ]
-        aggregate = SweepAggregator()
-        aggregate.add_many(records)
-        failures = [
-            failure
-            for key, failure in failed.items()
-            if key in full_keys
-        ]
-        stats.wall_s = time.perf_counter() - start
-        return SweepResult(
-            records=records,
-            stats=stats,
-            failures=failures,
-            aggregate=aggregate,
-        )
+        counts = self.queue.counts_for(keys)
+        stats.n_evaluated += counts["n_done"]
+        stats.n_failed += counts["n_failed"]
+        stats.n_retries += counts["n_retries"]
+        return fresh, failures

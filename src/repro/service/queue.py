@@ -34,7 +34,6 @@ record and one ``done`` row.
 from __future__ import annotations
 
 import json
-import sqlite3
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -42,7 +41,7 @@ from pathlib import Path
 from repro.dse.explorer import DesignPoint
 from repro.dse.faults import key_text
 from repro.dse.resilience import TRANSIENT, RetryPolicy
-from repro.dse.sqlite_store import decode_key, encode_key
+from repro.dse.sqlite_store import connect_wal, decode_key, encode_key
 from repro.dse.store import (
     point_from_dict,
     point_to_dict,
@@ -140,15 +139,10 @@ class LeaseQueue:
         self.path = Path(path)
         self._retry = retry if retry is not None else RetryPolicy()
         self._lease_timeout_s = lease_timeout_s
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
+        self._conn = connect_wal(self.path, _SCHEMA, busy_timeout_s)
         # Explicit BEGIN IMMEDIATE transactions (claims must serialize
         # across processes), so autocommit between them.
         self._conn.isolation_level = None
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(
-            f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}"
-        )
-        self._conn.executescript(_SCHEMA)
         stored = self._meta_get("queue_schema_version")
         if stored is None:
             self._meta_set("queue_schema_version", QUEUE_SCHEMA_VERSION)

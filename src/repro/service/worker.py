@@ -1,13 +1,18 @@
 """The sweep-service worker loop behind ``repro worker``.
 
-A worker is a plain process pointed at two paths — the lease queue and
-the SQLite result store (often the same file).  It claims one
-stage-batch lease at a time, evaluates it through *exactly* the
-engine's batch path (:func:`repro.dse.engine._evaluate_batch`, with the
+Workers are the far end of the coordinator's queue executor: the
+coordinator runs the engine's drivers (grid walk or ask/tell loop) and
+enqueues each batch of pending tasks; workers evaluate them.  A worker
+is a plain process pointed at two paths — the lease queue and the
+SQLite result store (often the same file).  It claims one stage-batch
+lease at a time, evaluates it through *exactly* the engine's pool-batch
+function (:func:`repro.dse.engine._evaluate_batch`, with the
 process-global synthesis cache so repeated leases of one stage stay
-warm), upserts the records into the store, and only then resolves the
-lease — so a crash between the store write and the completion mark
-costs a redundant re-evaluation, never a lost or duplicated record.
+warm — across a search's generations too), upserts the records into
+the store, and only then resolves the lease — so a crash between the
+store write and the completion mark costs a redundant re-evaluation,
+never a lost or duplicated record, and the coordinator can read every
+completed task's record back from the store.
 
 Failure semantics are the queue's (see :mod:`repro.service.queue`):
 per-job exceptions arrive pre-classified by the engine's taxonomy and

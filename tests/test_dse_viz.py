@@ -1,11 +1,17 @@
-"""Tests for the design-space explorer, pareto utilities and ASCII plots."""
+"""Tests for grid exploration, pareto utilities and ASCII plots."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.dse import DesignPoint, DesignSpaceExplorer, pareto_front
-from repro.suite import load_circuit
+from repro.dse import (
+    DesignPoint,
+    SweepEngine,
+    SweepRequest,
+    SweepResult,
+    SweepSpec,
+    pareto_front,
+)
 from repro.tech import MRAM, RERAM
 from repro.viz import bar_chart, line_plot
 
@@ -36,54 +42,60 @@ class TestPareto:
         assert len(front) == 2
 
 
-class TestExplorer:
-    @pytest.fixture(scope="class")
-    def explorer(self):
-        return DesignSpaceExplorer(load_circuit("s27"))
+def sweep_s27(**axes):
+    """A serial grid sweep of s27 over the given design axes."""
+    spec = SweepSpec(circuits=("s27",), **axes)
+    return SweepEngine().submit(SweepRequest(spec=spec))
 
-    def test_single_point(self, explorer):
-        record = explorer.evaluate_point(DesignPoint())
+
+class TestExplorer:
+    def test_single_point(self):
+        # The spec's one point is DesignPoint()'s configuration.
+        (record,) = sweep_s27(
+            policies=(3,), budget_scales=(1.0,), safe_zones=(True,)
+        ).records
+        assert record.point == DesignPoint()
         assert record.pdp_js > 0
         assert record.energy_j > 0
 
-    def test_sweep_dimensions(self, explorer):
-        records = explorer.sweep(
+    def test_sweep_dimensions(self):
+        records = sweep_s27(
             policies=(2, 3),
             budget_scales=(1.0,),
             technologies=(MRAM,),
             safe_zones=(True, False),
-        )
+        ).records
         assert len(records) == 4
         labels = {r.point.label() for r in records}
         assert len(labels) == 4
 
-    def test_safe_zone_wins(self, explorer):
-        records = explorer.sweep(
+    def test_safe_zone_wins(self):
+        records = sweep_s27(
             policies=(3,),
             budget_scales=(1.0,),
             technologies=(MRAM,),
             safe_zones=(True, False),
-        )
+        ).records
         by_safe = {r.point.use_safe_zone: r for r in records}
         assert by_safe[True].pdp_js < by_safe[False].pdp_js
 
-    def test_best_selects_min_pdp(self, explorer):
-        records = explorer.sweep(
+    def test_best_selects_min_pdp(self):
+        result = sweep_s27(
             policies=(3,), budget_scales=(0.5, 1.0), technologies=(MRAM,),
             safe_zones=(True,),
         )
-        best = explorer.best(records)
-        assert best.pdp_js == min(r.pdp_js for r in records)
+        best = result.best()
+        assert best.pdp_js == min(r.pdp_js for r in result.records)
 
-    def test_best_requires_records(self, explorer):
+    def test_best_requires_records(self):
         with pytest.raises(ValueError):
-            explorer.best([])
+            SweepResult().best()
 
-    def test_technology_axis(self, explorer):
-        records = explorer.sweep(
+    def test_technology_axis(self):
+        records = sweep_s27(
             policies=(3,), budget_scales=(1.0,),
             technologies=(MRAM, RERAM), safe_zones=(True,),
-        )
+        ).records
         names = {r.point.technology.name for r in records}
         assert names == {"MRAM", "ReRAM"}
 

@@ -2,7 +2,7 @@
 
 Covers the failure taxonomy, the deterministic retry policy, the fault
 injection harness, crash/hang/transient recovery on every execution
-path (serial, supervised pool, run_search's persistent pool), the
+path (serial, supervised pool, a search's persistent pool), the
 degradation ladder, and the crash-safe result store.
 
 The recurring assertion is *recovery parity*: a seeded fault plan run
@@ -279,7 +279,6 @@ class TestSerialRecovery:
             workers=1,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=1),
-                supervise=False,
                 fault_plan=fault_plan,
             ),
         ).submit(SweepRequest(spec=RES_SPEC), netlists=netlists)

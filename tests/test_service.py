@@ -102,33 +102,6 @@ class TestSweepRequest:
         named = SweepRequest(strategy="evolution", generations=70)
         assert named.effective_max_generations() == 70
 
-    def test_submit_matches_deprecated_run(self, reference):
-        engine = SweepEngine(workers=1)
-        with pytest.warns(DeprecationWarning, match="SweepEngine.run"):
-            legacy = engine.run(SPEC)
-        assert fingerprints(legacy.records) == fingerprints(
-            reference.records
-        )
-
-    def test_run_search_shim_warns_and_matches(self):
-        from repro.dse import DesignSpace
-
-        space = DesignSpace.from_spec(SPEC)
-        via_submit = SweepEngine(workers=1).submit(
-            SweepRequest(
-                spec=SweepSpec(circuits=("s27",)),
-                strategy=RandomStrategy(space, samples=4, seed=1),
-            )
-        )
-        engine = SweepEngine(workers=1)
-        with pytest.warns(DeprecationWarning, match="SweepEngine.run_search"):
-            legacy = engine.run_search(
-                RandomStrategy(space, samples=4, seed=1)
-            )
-        assert fingerprints(legacy.records) == fingerprints(
-            via_submit.records
-        )
-
 
 # ---------------------------------------------------------------------------
 # Config round-trip: TOML file <-> SweepRequest.
@@ -215,6 +188,38 @@ class TestLeaseQueue:
         assert queue.stats()["failed"] == 1  # budget (2 attempts) spent
         assert queue.counts_for([task.key])["n_retries"] == 1
         queue.close()
+
+    def test_concurrent_openers_of_a_fresh_file(self, tmp_path):
+        """A coordinator and its workers open one new file at once.
+
+        SQLite answers a racing switch to WAL with an immediate
+        "database is locked", bypassing the busy timeout, and two
+        stores can race on the schema-version insert.  Every opener
+        must wait its turn instead of failing.
+        """
+        errors: list[Exception] = []
+
+        def open_close(factory, path):
+            try:
+                factory(path).close()
+            except Exception as error:  # reported by the final assert
+                errors.append(error)
+
+        def store(path):
+            return open_store(path, backend="sqlite")
+
+        for round_ in range(150):
+            path = tmp_path / f"fresh{round_}.sqlite"
+            threads = [
+                threading.Thread(target=open_close, args=(factory, path))
+                for factory in (store, LeaseQueue, store, LeaseQueue)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_terminal_failure_never_retries(self, tmp_path):
         queue = self.make_queue(tmp_path)
@@ -344,6 +349,39 @@ class TestCoordinator:
         )
         assert fingerprints(result.records) == fingerprints(single.records)
         assert result.stats.n_generations == single.stats.n_generations
+
+    def test_search_record_order_matches_across_executors(self, tmp_path):
+        """Serial, pool and queue runs list a search's records in one
+        order (first proposal, then circuit) and agree on the best."""
+        request = SweepRequest(
+            spec=SweepSpec(circuits=("s27", "s298")),
+            strategy="random",
+            samples=4,
+            search_seed=3,
+        )
+        results = [
+            SweepEngine(workers=1).submit(request),
+            SweepEngine(workers=2).submit(request),
+            self.run_with_thread_worker(
+                self.coordinator(tmp_path), request, tmp_path / "svc.sqlite"
+            ),
+        ]
+        orders = [
+            [(r.circuit, r.point.label()) for r in result.records]
+            for result in results
+        ]
+        bests = [
+            {
+                group: record_to_dict(record)
+                for group, record in result.aggregate.best().items()
+            }
+            for result in results
+        ]
+        assert len(orders[0]) == 8
+        assert orders[1] == orders[0]
+        assert orders[2] == orders[0]
+        assert bests[1] == bests[0]
+        assert bests[2] == bests[0]
 
     def test_grid_parity_across_worker_processes(self, tmp_path, reference):
         coordinator = self.coordinator(tmp_path, workers=2, lease_size=2)
