@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from repro.analysis.intervals import RunBounds, bounds_for_point
 from repro.circuits.netlist import Netlist
 from repro.core.diac import DiacConfig
+from repro.core.replacement import PlanMemo
 from repro.dse.explorer import DesignPoint, SynthesisCache
 from repro.energy.scenarios import ScenarioSpec
 
@@ -130,6 +131,7 @@ def assess_point(
     cache: SynthesisCache | None = None,
     scenario: ScenarioSpec | None = None,
     reference_pdp_js: float | None = None,
+    plans: PlanMemo | None = None,
 ) -> FeasibilityReport:
     """Judge one (netlist, point, scenario) without simulating it.
 
@@ -137,7 +139,8 @@ def assess_point(
     Th_Cp above the capacitor, a bad criteria set, ...) is reported as
     ``UNKNOWN`` so the simulation path produces the canonical failure
     record — the analysis only ever *adds* knowledge, it never changes
-    what a sweep would have reported about an error.
+    what a sweep would have reported about an error.  ``plans`` is the
+    caller's batch-local plan memo.
     """
     try:
         bounds = bounds_for_point(
@@ -146,6 +149,7 @@ def assess_point(
             base_config=base_config,
             cache=cache,
             scenario=scenario,
+            plans=plans,
         )
     except Exception as error:
         return FeasibilityReport(

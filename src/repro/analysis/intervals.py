@@ -35,8 +35,7 @@ Everything else follows arithmetically, in ``O(segments)`` time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import cast
+from dataclasses import dataclass
 
 from repro.calibration import (
     INITIAL_ENERGY_FRACTION,
@@ -44,14 +43,17 @@ from repro.calibration import (
     REEXECUTION_FRACTION,
 )
 from repro.circuits.netlist import Netlist
-from repro.core.codegen import GeneratedCode
-from repro.core.diac import DiacConfig, DiacDesign, DiacSynthesizer
-from repro.core.replacement import insert_nvm
-from repro.dse.explorer import DesignPoint, SynthesisCache, _point_config
+from repro.core.diac import DiacConfig
+from repro.core.replacement import PlanMemo, insert_nvm
+from repro.dse.explorer import (
+    DesignPoint,
+    PreparedPoint,
+    SynthesisCache,
+    prepare_front_half,
+)
 from repro.energy.harvester import HarvestTrace
 from repro.energy.scenarios import ScenarioSpec
 from repro.energy.thresholds import ThresholdSet
-from repro.evaluation import Environment, build_environment
 from repro.sim.intermittent import SchemeProfile
 
 
@@ -254,23 +256,10 @@ def bounds_for_run(
     )
 
 
-@dataclass(frozen=True)
-class StaticPreparedPoint:
-    """The synthesis front half of a point, without code generation.
-
-    The static twin of :class:`~repro.dse.explorer.PreparedPoint`: the
-    same cached characterization, replacement plan, environment and
-    scheme profile — everything the bounds and the linter read — but no
-    HDL emission or round-trip validation, which the static path never
-    consults.  ``design.code`` is deliberately left unset.
-    """
-
-    point: DesignPoint
-    scenario: ScenarioSpec
-    design: DiacDesign
-    environment: Environment
-    profile: SchemeProfile
-    work_target_j: float
+#: The static twin of :class:`~repro.dse.explorer.PreparedPoint` is the
+#: same record: the same cached characterization, replacement plan,
+#: environment and scheme profile, with ``design.code`` left unset.
+StaticPreparedPoint = PreparedPoint
 
 
 def prepare_static(
@@ -279,74 +268,26 @@ def prepare_static(
     base_config: DiacConfig | None = None,
     cache: SynthesisCache | None = None,
     scenario: ScenarioSpec | None = None,
+    plans: PlanMemo | None = None,
 ) -> StaticPreparedPoint:
     """Derive a point's profile/environment without generating code.
 
-    Mirrors :func:`repro.dse.explorer.prepare_point` step for step —
-    same cached synthesis stage, same budget derivation, same
-    margin-then-scale threshold knobs, same ``ValueError`` when Th_Cp
-    exceeds the capacitor — but skips HDL generation and the round-trip
-    check, which only the simulation path needs.  The returned profile,
+    Runs :func:`repro.dse.explorer.prepare_front_half` — the same front
+    half :func:`~repro.dse.explorer.prepare_point` runs, so the same
+    budget, plan, threshold knobs and ``ValueError`` when Th_Cp exceeds
+    the capacitor — but skips HDL generation and the round-trip check,
+    which only the simulation path needs.  The returned profile,
     environment and work target are therefore *identical* to the ones
     the simulator would run (pinned by the differential tests).
+    ``plans`` is the caller's batch-local plan memo.
 
     Raises:
         ValueError: for the same threshold/criteria rejections
             :func:`~repro.dse.explorer.prepare_point` raises.
     """
-    from repro.baselines.schemes import profile_diac
-
-    base = base_config or DiacConfig()
-    scenario = scenario or ScenarioSpec()
-    config = _point_config(base, point)
-    if cache is None:  # NB: an empty cache is falsy (it has __len__).
-        cache = SynthesisCache()
-    report, shaped, policy_config = cache.stage_for(netlist, config)
-
-    budget = point.budget_scale * DiacSynthesizer(config).derive_budget_j(
-        netlist
-    )
-    config = replace(config, budget_j=budget)
-    plan = insert_nvm(
-        shaped, budget, technology=config.technology, criteria=config.criteria
-    )
-    # The static path never reads generated HDL; the cast records that
-    # ``code`` is intentionally absent rather than silently None-typed.
-    design = DiacDesign(
-        netlist=netlist,
-        report=report,
-        graph=plan.graph,
-        plan=plan,
-        code=cast(GeneratedCode, None),
-        config=config,
-        policy_config=policy_config,
-    )
-
-    env = build_environment(design, scenario=scenario)
-    thresholds = env.thresholds
-    if point.safe_margin_scale is not None:
-        thresholds = thresholds.with_safe_margin(
-            point.safe_margin_scale * thresholds.safe_zone_margin_j
-        )
-    if point.threshold_scale != 1.0:
-        thresholds = thresholds.scaled(point.threshold_scale)
-    if thresholds.compute_j > env.e_max_j:
-        raise ValueError(
-            f"threshold_scale {point.threshold_scale:g} puts Th_Cp "
-            f"({thresholds.compute_j:.3e} J) above the capacitor "
-            f"capacity ({env.e_max_j:.3e} J)"
-        )
-    if thresholds is not env.thresholds:
-        env = replace(env, thresholds=thresholds)
-
-    profile = profile_diac(design, optimized=point.use_safe_zone)
-    return StaticPreparedPoint(
-        point=point,
-        scenario=scenario,
-        design=design,
-        environment=env,
-        profile=profile,
-        work_target_j=env.n_passes * profile.pass_energy_j,
+    return prepare_front_half(
+        netlist, point, base_config, cache, scenario, plans,
+        place_barriers=insert_nvm, with_code=False,
     )
 
 
@@ -356,6 +297,7 @@ def bounds_for_point(
     base_config: DiacConfig | None = None,
     cache: SynthesisCache | None = None,
     scenario: ScenarioSpec | None = None,
+    plans: PlanMemo | None = None,
 ) -> RunBounds:
     """Bound the run :func:`~repro.dse.explorer.evaluate_point` would make."""
     prepared = prepare_static(
@@ -364,6 +306,7 @@ def bounds_for_point(
         base_config=base_config,
         cache=cache,
         scenario=scenario,
+        plans=plans,
     )
     env = prepared.environment
     return bounds_for_run(

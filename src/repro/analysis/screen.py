@@ -30,6 +30,7 @@ from repro.analysis.feasibility import Verdict, assess_run
 from repro.analysis.intervals import RunBounds, bounds_for_point
 from repro.circuits.netlist import Netlist
 from repro.core.diac import DiacConfig
+from repro.core.replacement import PlanMemo
 from repro.dse.explorer import DesignPoint, SynthesisCache
 from repro.energy.scenarios import ScenarioSpec
 
@@ -70,6 +71,10 @@ class StaticScreener:
     def _bounds(self, point: DesignPoint) -> list[RunBounds | None]:
         """Per-(circuit, scenario) bounds; None where analysis fails."""
         rows: list[RunBounds | None] = []
+        # One plan memo per call: the scenarios of a circuit share a
+        # plan, and nothing outlives the point (a screener-lifetime memo
+        # would hold every plan of the search).
+        plans: PlanMemo = {}
         for circuit, netlist in self.netlists.items():
             cache = self._caches.setdefault(circuit, SynthesisCache())
             for scenario in self.scenarios:
@@ -81,6 +86,7 @@ class StaticScreener:
                             base_config=self.base_config,
                             cache=cache,
                             scenario=scenario,
+                            plans=plans,
                         )
                     )
                 except Exception:

@@ -395,8 +395,8 @@ def _report_sweep(result, request, robustness_top: int) -> int:
         f"{search}{stats.n_points} points ({stats.n_resumed} resumed, "
         f"{pruned}{stats.n_failed} failed) in "
         f"{stats.wall_s:.2f} s with {stats.workers} worker(s); "
-        f"{stats.synthesize_calls} synthesis runs over "
-        f"{stats.n_batches} batches"
+        f"{stats.synthesize_calls} synthesis runs, "
+        f"{stats.plan_builds} plan builds over {stats.n_batches} batches"
     )
     recovery = []
     if stats.n_retries:

@@ -20,8 +20,10 @@ from repro.core.replacement import (
     REG_FLAG_BITS,
     NvmPlan,
     Partition,
+    PlanMemo,
     ReplacementCriteria,
     insert_nvm,
+    plan_memo_disabled,
 )
 from repro.core.tree import TaskGraph, TaskNode, TreeError
 from repro.core.tree_generator import build_task_graph
@@ -34,6 +36,7 @@ __all__ = [
     "GeneratedCode",
     "NvmPlan",
     "Partition",
+    "PlanMemo",
     "PolicyConfig",
     "REG_FLAG_BITS",
     "ReplacementCriteria",
@@ -49,4 +52,5 @@ __all__ = [
     "config_for_graph",
     "generate_code",
     "insert_nvm",
+    "plan_memo_disabled",
 ]

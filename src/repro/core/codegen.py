@@ -59,14 +59,20 @@ class GeneratedCode:
     verilog: str
     barrier_pragmas: dict[str, tuple[str, ...]]
     timing: TimingReport
+    _roundtrip_ok: bool = field(default=False, repr=False, compare=False)
 
     def roundtrip_check(self) -> None:
         """Re-parse the emitted Verilog and verify it is well formed.
 
+        Parses once per instance: a passed check is remembered, so the
+        points sharing one memoized plan pay for a single parse.
+
         Raises:
             VerilogError / NetlistError: if the emitted HDL is malformed.
         """
-        parse_verilog(self.verilog).validate()
+        if not self._roundtrip_ok:
+            parse_verilog(self.verilog).validate()
+            self._roundtrip_ok = True
 
 
 def generate_code(
@@ -85,8 +91,22 @@ def generate_code(
 
     Returns:
         A :class:`GeneratedCode` with the Verilog text, barrier pragma
-        table, and timing report.
+        table, and timing report — cached on ``plan`` per
+        ``(target_period_s, ff_delay_overhead)``, so every point sharing
+        a memoized plan shares one bundle (and so one round-trip parse).
     """
+    key = (target_period_s, ff_delay_overhead)
+    code = plan._codes.get(key)
+    if code is None:
+        code = _emit(plan, target_period_s, ff_delay_overhead)
+        plan._codes[key] = code
+    return code
+
+
+def _emit(
+    plan: NvmPlan, target_period_s: float | None, ff_delay_overhead: float
+) -> GeneratedCode:
+    """Build the :func:`generate_code` bundle (always anew)."""
     graph = plan.graph
     netlist = graph.netlist
     base_verilog = write_verilog(netlist)

@@ -28,14 +28,48 @@ burst must fit between two commit opportunities.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.tree import TaskGraph, TaskNode
 from repro.tech.cacti import MemoryArrayModel, backup_array_for
 from repro.tech.nvm import MRAM, NvmTechnology
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.codegen import GeneratedCode
+
 #: Bits of FSM bookkeeping (the Reg_Flag) committed alongside every barrier.
 REG_FLAG_BITS = 3
+
+#: A caller-owned plan memo for :func:`insert_nvm`: one entry per real
+#: barrier walk, keyed on ``(graph, budget_j, technology, criteria)``.
+#: The key holds the shaped graph itself (hashed by identity), so an
+#: entry can never match a different graph that reuses a freed ``id``.
+#: A memo belongs to one batch of point evaluations and dies with it.
+PlanMemo = dict[tuple, "NvmPlan"]
+
+#: Module switch for the plan memo; see :func:`plan_memo_disabled`.
+_MEMOIZE_PLANS = True
+
+
+@contextmanager
+def plan_memo_disabled() -> Iterator[None]:
+    """Temporarily make every :func:`insert_nvm` memo lookup miss.
+
+    Used by ``repro.perf`` to time the unmemoized path and by the
+    equivalence tests.  Each call still records its walk in the memo
+    under a fresh key, so ``len(plans)`` keeps counting real barrier
+    walks; records are identical either way.
+    """
+    global _MEMOIZE_PLANS
+    previous = _MEMOIZE_PLANS
+    _MEMOIZE_PLANS = False
+    try:
+        yield
+    finally:
+        _MEMOIZE_PLANS = previous
 
 
 @dataclass(frozen=True)
@@ -154,6 +188,10 @@ class NvmPlan:
     infeasible: list[str]
     criteria: ReplacementCriteria
     _partitions: list[Partition] | None = field(default=None, repr=False)
+    #: ``generate_code`` output per ``(target_period_s, ff_delay_overhead)``.
+    _codes: dict[tuple, GeneratedCode] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # -- derived views --------------------------------------------------------
 
@@ -239,6 +277,7 @@ def insert_nvm(
     budget_j: float,
     technology: NvmTechnology = MRAM,
     criteria: ReplacementCriteria | None = None,
+    plans: PlanMemo | None = None,
 ) -> NvmPlan:
     """Run the replacement procedure on ``graph``.
 
@@ -252,6 +291,10 @@ def insert_nvm(
             between two consecutive commit opportunities.
         technology: NVM technology for the backup arrays.
         criteria: criteria weights (defaults to all three enabled).
+        plans: optional caller-owned :data:`PlanMemo`.  A hit returns
+            the plan an earlier call built for the same graph object,
+            budget, technology and criteria — shared by reference, so
+            no consumer may modify it.
 
     Returns:
         An :class:`NvmPlan` over an NV-enhanced clone of ``graph``.
@@ -263,6 +306,27 @@ def insert_nvm(
         raise ValueError("budget_j must be positive")
     if criteria is None:
         criteria = ReplacementCriteria()
+    if plans is None:
+        return _place_barriers(graph, budget_j, technology, criteria)
+    key: tuple = (graph, budget_j, technology, criteria)
+    if _MEMOIZE_PLANS:
+        plan = plans.get(key)
+        if plan is not None:
+            return plan
+    else:
+        key = (*key, len(plans))  # never hits, still counts the walk
+    plan = _place_barriers(graph, budget_j, technology, criteria)
+    plans[key] = plan
+    return plan
+
+
+def _place_barriers(
+    graph: TaskGraph,
+    budget_j: float,
+    technology: NvmTechnology,
+    criteria: ReplacementCriteria,
+) -> NvmPlan:
+    """The barrier walk behind :func:`insert_nvm` (always builds anew)."""
     work = graph.clone()
     work.recompute_features()
     order = schedule_order(work)

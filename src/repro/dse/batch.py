@@ -772,6 +772,7 @@ def evaluate_jobs_batched(
     jobs,
     base_config=None,
     cache=None,
+    plans=None,
 ):
     """Batch-evaluate sweep jobs for one circuit.
 
@@ -786,6 +787,8 @@ def evaluate_jobs_batched(
             shape).
         base_config: sweep-wide synthesis defaults.
         cache: shared :class:`~repro.dse.explorer.SynthesisCache`.
+        plans: the caller's batch-local plan memo
+            (:data:`~repro.core.replacement.PlanMemo`).
 
     Returns:
         ``(records, failures)`` — ``records`` as ``(key, record)`` in
@@ -805,6 +808,7 @@ def evaluate_jobs_batched(
                 base_config=base_config,
                 cache=cache,
                 scenario=scenario,
+                plans=plans,
             )
         except Exception as error:
             failures.append((key, error))

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Protocol
 
 from repro.circuits.netlist import Netlist
 from repro.core.diac import DiacConfig
-from repro.core.replacement import ReplacementCriteria
+from repro.core.replacement import PlanMemo, ReplacementCriteria
 from repro.dse.batch import batch_routing_enabled, evaluate_jobs_batched
 from repro.dse.explorer import (
     DesignPoint,
@@ -199,6 +199,7 @@ def prune_tasks(
     from repro.analysis.feasibility import Verdict, assess_point
 
     caches: dict[str, SynthesisCache] = {}
+    plans: PlanMemo = {}
     remaining: list[_Task] = []
     pruned: dict[_TaskKey, SweepFailure] = {}
     for key, circuit, scenario, point in pending:
@@ -208,6 +209,7 @@ def prune_tasks(
             base_config=base_config,
             cache=caches.setdefault(circuit, SynthesisCache()),
             scenario=scenario,
+            plans=plans,
         )
         if report.verdict is Verdict.INFEASIBLE:
             pruned[key] = SweepFailure(
@@ -366,6 +368,11 @@ class SweepStats:
         n_batches: synthesis-stage groups fanned out.
         n_generations: strategy generations driven (0 for a grid).
         synthesize_calls: actual circuit characterizations performed.
+        plan_builds: real NVM barrier walks (``insert_nvm`` plan-memo
+            misses), summed over the batch-local plan memos of the
+            serial and pool executors.  Like ``synthesize_calls``, the
+            queue executor does not collect its workers' counts, so a
+            coordinator run reports 0.
         workers: process count used (1 == serial in-process).
         wall_s: wall-clock duration of the run.
         n_pruned: points the static analysis proved infeasible and
@@ -389,6 +396,7 @@ class SweepStats:
     n_batches: int = 0
     n_generations: int = 0
     synthesize_calls: int = 0
+    plan_builds: int = 0
     workers: int = 1
     wall_s: float = 0.0
     n_retries: int = 0
@@ -589,6 +597,7 @@ def _evaluate_batch(
 ) -> tuple[
     list[tuple[_TaskKey, ExplorationRecord]],
     int,
+    int,
     list[tuple[_TaskKey, SweepFailure]],
 ]:
     """Evaluate one synthesis-stage group with a batch-local cache.
@@ -596,8 +605,11 @@ def _evaluate_batch(
     Module-level so :class:`ProcessPoolExecutor` can pickle it; returns
     keyed records, the number of ``synthesize`` calls the batch cost
     (exactly one when the grouping works — scenarios share the stage,
-    since the environment never changes the synthesized design), and any
-    keyed per-job failures.  ``circuit`` is the sweep's name for the
+    since the environment never changes the synthesized design), the
+    number of real barrier walks (the batch's plan memo size: one per
+    distinct budget/technology/criteria), and any keyed per-job
+    failures.  The plan memo lives exactly as long as this call, even
+    when ``persistent_cache`` keeps the synthesis stages.  ``circuit`` is the sweep's name for the
     netlist, which wins over ``netlist.name`` so resume keys stay stable
     for file-loaded circuits.  ``persistent_cache`` switches to the
     process-global cache so repeated batches in one worker (a
@@ -614,6 +626,7 @@ def _evaluate_batch(
     else:
         cache = SynthesisCache()
     calls_before = cache.synthesize_calls
+    plans: PlanMemo = {}
     if fault_plan is None and len(jobs) > 1 and batch_routing_enabled():
         # Vector fast path: synthesis per job through the shared cache,
         # then one lockstep kernel run over every lane of the batch.
@@ -621,7 +634,7 @@ def _evaluate_batch(
         # differential tests pin this), and per-job failures classify
         # exactly the same way.  Fault injection needs the per-job loop.
         keyed, errors = evaluate_jobs_batched(
-            netlist, jobs, base_config=base_config, cache=cache
+            netlist, jobs, base_config=base_config, cache=cache, plans=plans
         )
         records = []
         for key, record in keyed:
@@ -643,7 +656,10 @@ def _evaluate_batch(
                     ),
                 )
             )
-        return records, cache.synthesize_calls - calls_before, failures
+        return (
+            records, cache.synthesize_calls - calls_before, len(plans),
+            failures,
+        )
     records = []
     failures = []
     for key, scenario, point in jobs:
@@ -656,6 +672,7 @@ def _evaluate_batch(
                 base_config=base_config,
                 cache=cache,
                 scenario=scenario,
+                plans=plans,
             )
         except Exception as error:
             failures.append(
@@ -673,7 +690,9 @@ def _evaluate_batch(
             continue
         record.circuit = circuit
         records.append((key, record))
-    return records, cache.synthesize_calls - calls_before, failures
+    return (
+        records, cache.synthesize_calls - calls_before, len(plans), failures
+    )
 
 
 def _stage_groups(
@@ -817,7 +836,11 @@ class _SerialExecutor:
         fresh: dict[_TaskKey, ExplorationRecord],
         failures: dict[_TaskKey, SweepFailure],
     ) -> None:
-        """Evaluate ``tasks`` into ``fresh``/``failures``."""
+        """Evaluate ``tasks`` into ``fresh``/``failures``.
+
+        One plan memo serves the whole call (batched and per-task
+        routes alike) and is dropped when it returns.
+        """
         cfg = self.resilience
         policy = cfg.retry
         retry_enabled = policy.max_attempts > 1
@@ -825,6 +848,7 @@ class _SerialExecutor:
         for circuit in self.netlists:
             caches.setdefault(circuit, SynthesisCache())
         before = sum(c.synthesize_calls for c in caches.values())
+        plans: PlanMemo = {}
         remaining = tasks
         if (
             cfg.fault_plan is None
@@ -832,7 +856,8 @@ class _SerialExecutor:
             and batch_routing_enabled()
         ):
             remaining = self._run_batched(
-                tasks, stats, fresh, failures, retry_enabled=retry_enabled
+                tasks, stats, fresh, failures, plans,
+                retry_enabled=retry_enabled,
             )
         for key, circuit, scenario, point in remaining:
             attempts = 0
@@ -847,6 +872,7 @@ class _SerialExecutor:
                         base_config=self.base_config,
                         cache=caches[circuit],
                         scenario=scenario,
+                        plans=plans,
                     )
                 except Exception as error:
                     kind = classify(error)
@@ -873,6 +899,7 @@ class _SerialExecutor:
         stats.synthesize_calls += (
             sum(c.synthesize_calls for c in caches.values()) - before
         )
+        stats.plan_builds += len(plans)
 
     def _run_batched(
         self,
@@ -880,6 +907,7 @@ class _SerialExecutor:
         stats: SweepStats,
         fresh: dict[_TaskKey, ExplorationRecord],
         failures: dict[_TaskKey, SweepFailure],
+        plans: PlanMemo,
         retry_enabled: bool,
     ) -> list[_Task]:
         """Serial fast path: one vector-kernel run per circuit group.
@@ -901,6 +929,7 @@ class _SerialExecutor:
                 [(key, scenario, point) for key, _c, scenario, point in group],
                 base_config=self.base_config,
                 cache=self.caches[circuit],
+                plans=plans,
             )
             for key, record in records:
                 fresh[key] = record
@@ -1040,8 +1069,9 @@ class _PoolExecutor:
             in_flight[future] = (gk, jobs, attempt, deadline)
 
         def handle_success(gk, jobs, batch) -> None:
-            records, synth_calls, batch_failures = batch
+            records, synth_calls, plan_builds, batch_failures = batch
             stats.synthesize_calls += synth_calls
+            stats.plan_builds += plan_builds
             for key, record in records:
                 fresh[key] = record
             # Persist batches as they finish, not in submission order,

@@ -17,19 +17,37 @@ the budget/criteria/safe-zone/threshold knobs.  :class:`SynthesisCache`
 memoizes that stage so the N budget/criteria variants of one policy share a
 single :class:`~repro.tech.synthesis.SynthesisReport` and shaped task graph
 instead of re-synthesizing the circuit N times.
+
+The next layer — NVM barrier insertion, code generation and the
+round-trip check — depends on that shaped graph plus ``(budget,
+technology, criteria)`` only; the scenario, safe-zone and threshold axes
+never change it.  A caller-owned plan memo
+(:data:`~repro.core.replacement.PlanMemo`, the ``plans`` argument of
+:func:`prepare_point` / :func:`evaluate_point`) lets the points of one
+batch share a single plan, its generated code (cached on the plan) and
+one round-trip parse.  Unlike the synthesis cache, a plan memo never
+outlives its batch; :func:`~repro.core.replacement.plan_memo_disabled`
+switches it off for A/B measurement.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import cast
 
 from repro.baselines.schemes import profile_diac
 from repro.circuits.netlist import Netlist
-from repro.core.codegen import generate_code
+from repro.core.codegen import GeneratedCode, generate_code
 from repro.core.diac import DiacConfig, DiacDesign, DiacSynthesizer
 from repro.core.policies import PolicyConfig, apply_policy, config_for_graph
-from repro.core.replacement import ReplacementCriteria, insert_nvm
+from repro.core.replacement import (
+    NvmPlan,
+    PlanMemo,
+    ReplacementCriteria,
+    insert_nvm,
+)
 from repro.core.tree import TaskGraph
 from repro.core.tree_generator import build_task_graph
 from repro.energy.scenarios import ScenarioSpec
@@ -154,7 +172,11 @@ class SynthesisCache:
     Keyed on ``(netlist name, policy, granularity, activity, split/merge
     fractions)`` — everything the front half of the pipeline depends on.
     ``insert_nvm`` clones the graph it is given, so one cached shaped graph
-    is safely shared by every downstream replacement run.
+    is safely shared by every downstream replacement run.  The shaped
+    graph object is also the identity a batch's plan memo keys on: one
+    stage plus one ``(budget, technology, criteria)`` is one plan.  The
+    memo itself lives with the batch, not here, so a long-lived cache
+    (a worker's process-global one) never pins plans.
     """
 
     def __init__(self) -> None:
@@ -236,6 +258,7 @@ def prepare_point(
     base_config: DiacConfig | None = None,
     cache: SynthesisCache | None = None,
     scenario: ScenarioSpec | None = None,
+    plans: PlanMemo | None = None,
 ) -> PreparedPoint:
     """Run the synthesis front half of :func:`evaluate_point`.
 
@@ -244,6 +267,34 @@ def prepare_point(
     :class:`PreparedPoint` carries exactly what the executor dispatch
     needs, so ``finish_point(prepare_point(...), result)`` with the
     scalar executor's result reproduces :func:`evaluate_point` verbatim.
+    ``plans`` is the batch's plan memo (see :func:`evaluate_point`).
+    """
+    return prepare_front_half(
+        netlist, point, base_config, cache, scenario, plans,
+        place_barriers=insert_nvm, with_code=True,
+    )
+
+
+def prepare_front_half(
+    netlist: Netlist,
+    point: DesignPoint,
+    base_config: DiacConfig | None,
+    cache: SynthesisCache | None,
+    scenario: ScenarioSpec | None,
+    plans: PlanMemo | None,
+    place_barriers: Callable[..., NvmPlan],
+    with_code: bool,
+) -> PreparedPoint:
+    """The one front half behind the simulation and static-analysis paths.
+
+    Budget derivation, the (memoized) replacement plan, the threshold
+    knobs and the Th_Cp check live only here, so
+    :func:`repro.analysis.intervals.prepare_static` bounds exactly the
+    run :func:`prepare_point` prepares.  ``place_barriers`` is the
+    caller's own binding of :func:`~repro.core.replacement.insert_nvm`,
+    which keeps call sites attributable per module.  ``with_code=False``
+    skips HDL generation and the round-trip check (the static path never
+    reads them) and leaves ``design.code`` unset.
     """
     base = base_config or DiacConfig()
     scenario = scenario or ScenarioSpec()
@@ -256,12 +307,18 @@ def prepare_point(
         netlist
     )
     config = replace(config, budget_j=budget)
-    plan = insert_nvm(
-        shaped, budget, technology=config.technology, criteria=config.criteria
+    plan = place_barriers(
+        shaped,
+        budget,
+        technology=config.technology,
+        criteria=config.criteria,
+        plans=plans,
     )
-    code = generate_code(plan, target_period_s=config.target_period_s)
-    if config.validate:
-        code.roundtrip_check()
+    code = cast(GeneratedCode, None)
+    if with_code:
+        code = generate_code(plan, target_period_s=config.target_period_s)
+        if config.validate:
+            code.roundtrip_check()
     design = DiacDesign(
         netlist=netlist,
         report=report,
@@ -338,6 +395,7 @@ def evaluate_point(
     base_config: DiacConfig | None = None,
     cache: SynthesisCache | None = None,
     scenario: ScenarioSpec | None = None,
+    plans: PlanMemo | None = None,
 ) -> ExplorationRecord:
     """Synthesize and execute one design point — side-effect-free.
 
@@ -357,6 +415,11 @@ def evaluate_point(
             Fig. 5 trace when omitted).  The scenario only changes the
             evaluation environment, never the synthesized design, so all
             scenarios of one policy share a cached synthesis stage.
+        plans: optional plan memo (:data:`~repro.core.replacement.PlanMemo`)
+            owned by the caller's batch: points that differ only in
+            scenario, safe zone or threshold knobs then share one
+            replacement plan, one code bundle and one round-trip parse.
+            Never keep one past the batch that created it.
 
     Returns:
         The :class:`ExplorationRecord` for ``(netlist, scenario, point)``.
@@ -367,6 +430,7 @@ def evaluate_point(
         base_config=base_config,
         cache=cache,
         scenario=scenario,
+        plans=plans,
     )
     evaluation = evaluate_design(
         prepared.design,

@@ -17,6 +17,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 
 from repro.circuits.netlist import topo_order_cache_disabled
+from repro.core.replacement import plan_memo_disabled
 from repro.core.tree import graph_caches_disabled
 from repro.dse.batch import batch_kernel_disabled
 from repro.sim.bitparallel import bitparallel_disabled
@@ -27,20 +28,22 @@ from repro.tech.synthesis import block_cost_memo_disabled
 def hot_path_caches_disabled() -> Iterator[None]:
     """Disable every *toggleable* hot-path cache for the block.
 
-    Covers the block-cost memo, the task-graph topology caches and the
-    netlist topological-order/fanout caches.  Three PR-5 optimizations
-    have no off switch (the ``Gate.is_*`` cached properties, the trace
-    fast path, the executor-locals rewrite), so a ratio measured over
-    this baseline *understates* the cache contribution relative to the
-    true pre-PR checkout — the checkout A/B recorded in CHANGES.md
-    bounds the whole PR.  Numbers produced inside the block are
-    bit-identical to numbers produced outside it; only the wall clock
-    differs.
+    Covers the block-cost memo, the task-graph topology caches, the
+    netlist topological-order/fanout caches and the batch-local NVM plan
+    memo (so every point builds, emits and round-trips its own plan).
+    Three PR-5 optimizations have no off switch (the ``Gate.is_*``
+    cached properties, the trace fast path, the executor-locals
+    rewrite), so a ratio measured over this baseline *understates* the
+    cache contribution relative to the true pre-PR checkout — the
+    checkout A/B recorded in CHANGES.md bounds the whole PR.  Numbers
+    produced inside the block are bit-identical to numbers produced
+    outside it; only the wall clock differs.
     """
     with (
         block_cost_memo_disabled(),
         graph_caches_disabled(),
         topo_order_cache_disabled(),
+        plan_memo_disabled(),
     ):
         yield
 

@@ -13,6 +13,10 @@ prepared outside the timed section:
 * ``sweep-serial`` / ``sweep-warm`` / ``sweep-parallel`` —
   :class:`repro.dse.engine.SweepEngine` end-to-end throughput, cold
   versus warm synthesis cache and serial versus process-pool fan-out;
+* ``sweep-multiscenario`` — a serial 144-point multi-scenario grid
+  with the batch-local NVM plan memo against
+  :func:`~repro.core.replacement.plan_memo_disabled` (A/B
+  interleaved), reporting ``speedup_vs_unmemoized``;
 * ``sweep-resilience`` — the same serial workload with the default
   retry policy versus retries off (A/B interleaved), reporting the
   measured ``overhead_vs_disabled`` ratio;
@@ -262,6 +266,7 @@ def _sweep_counters(result) -> dict[str, object]:
         "failed": stats.n_failed,
         "batches": stats.n_batches,
         "synthesize_calls": stats.synthesize_calls,
+        "plan_builds": stats.plan_builds,
         "cache_hit_ratio": round(stats.cache_hit_ratio, 6),
         "workers": stats.workers,
     }
@@ -331,6 +336,72 @@ def _sweep_resilience(repeats: int) -> SuiteResult:
             "overhead_vs_disabled": timing.wall_s / baseline.wall_s,
         },
         counters={**_sweep_counters(result), "retries": result.stats.n_retries},
+    )
+
+
+#: The multi-scenario grid: s1423 + b12 x 3 policies x 2 budget scales x
+#: safe zone on/off x 2 threshold scales x 3 scenarios = 144 points over
+#: 12 distinct NVM plans (circuit x policy x budget).
+MULTISCENARIO_CIRCUITS = ("s1423", "b12")
+MULTISCENARIO_SEED = 11
+
+
+def _sweep_multiscenario(repeats: int) -> SuiteResult:
+    """Plan memo A/B on a serial multi-scenario grid.
+
+    Scenario, safe-zone and threshold axes never change a point's NVM
+    plan, so the batch-local plan memo builds 12 plans for 144 points.
+    Times the default engine against the same sweep under
+    :func:`~repro.core.replacement.plan_memo_disabled` (one walk,
+    code bundle and round-trip parse per point), interleaved A/B;
+    ``speedup_vs_unmemoized`` is the memo's acceptance number and the
+    ``plan_builds`` counter pins the work it saves.
+    """
+    from repro.core.replacement import plan_memo_disabled
+    from repro.dse import SweepEngine, SweepRequest, SweepSpec
+    from repro.energy.scenarios import ScenarioSpec
+    from repro.perf.timing import time_paired
+    from repro.suite import load_circuit
+
+    request = SweepRequest(
+        spec=SweepSpec(
+            circuits=MULTISCENARIO_CIRCUITS,
+            policies=(1, 2, 3),
+            budget_scales=(0.5, 1.0),
+            safe_zones=(True, False),
+            threshold_scales=(1.0, 1.25),
+            scenarios=(
+                ScenarioSpec(),
+                ScenarioSpec(name="rf-markov", seed=MULTISCENARIO_SEED),
+                ScenarioSpec(name="solar-cloudy", seed=MULTISCENARIO_SEED),
+            ),
+        )
+    )
+    netlists = {name: load_circuit(name) for name in MULTISCENARIO_CIRCUITS}
+
+    def run_memoized():
+        return SweepEngine(workers=1).submit(request, netlists=netlists)
+
+    def run_unmemoized():
+        with plan_memo_disabled():
+            return run_memoized()
+
+    timing, baseline, result = time_paired(
+        run_memoized, run_unmemoized, repeats=repeats
+    )
+    return SuiteResult(
+        name="sweep-multiscenario",
+        timing=timing,
+        rates={
+            "evals_per_s": result.stats.n_evaluated / timing.wall_s,
+            "unmemoized_wall_s": baseline.wall_s,
+            "speedup_vs_unmemoized": baseline.wall_s / timing.wall_s,
+        },
+        counters={
+            **_sweep_counters(result),
+            "circuit": list(MULTISCENARIO_CIRCUITS),
+            "scenarios": len(request.spec.scenarios),
+        },
     )
 
 
@@ -866,6 +937,7 @@ SUITES: tuple[SuiteSpec, ...] = (
     SuiteSpec("sweep-serial", _sweep_serial),
     SuiteSpec("sweep-resilience", _sweep_resilience),
     SuiteSpec("sweep-warm", _sweep_warm),
+    SuiteSpec("sweep-multiscenario", _sweep_multiscenario),
     SuiteSpec("sweep-parallel", _sweep_parallel),
     SuiteSpec("static-analysis", _static_analysis),
     SuiteSpec("store-backends", _store_backends),

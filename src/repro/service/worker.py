@@ -128,7 +128,7 @@ def run_worker(
                 ]
                 # A crash fault inside the batch exits the process here,
                 # leaving the lease to expire — the real death path.
-                records, _calls, failures = _evaluate_batch(
+                records, _calls, _plans, failures = _evaluate_batch(
                     circuit,
                     netlists[circuit],
                     jobs,

@@ -64,6 +64,38 @@ class TestCodegen:
         code = generate_code(plan)
         assert not code.timing.passed
 
+    def test_code_cached_on_plan_per_knobs(self, s27):
+        plan = insert_nvm(build_task_graph(s27), 1.0)
+        code = generate_code(plan)
+        assert generate_code(plan) is code
+        assert generate_code(plan, target_period_s=1.0) is not code
+        assert generate_code(plan, ff_delay_overhead=0.3) is not code
+        other = insert_nvm(plan.graph, 1.0)
+        assert generate_code(other) is not code
+        assert generate_code(other).verilog == code.verilog
+
+    def test_roundtrip_parses_once_per_instance(self, s27, monkeypatch):
+        import repro.core.codegen as codegen
+
+        parses = []
+
+        def counting(text):
+            parses.append(text)
+            return parse_verilog(text)
+
+        monkeypatch.setattr(codegen, "parse_verilog", counting)
+        code = generate_code(insert_nvm(build_task_graph(s27), 1.0))
+        code.roundtrip_check()
+        code.roundtrip_check()
+        assert len(parses) == 1
+
+    def test_failed_roundtrip_is_not_remembered(self, s27):
+        code = generate_code(insert_nvm(build_task_graph(s27), 1.0))
+        code.verilog = "module broken("
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                code.roundtrip_check()
+
 
 class TestDiacPipeline:
     def test_config_validation(self):

@@ -103,6 +103,8 @@ class TestSuites:
         assert executor.rates["events_per_s"] > 0
         sweep = by_name["sweep-serial"]
         assert sweep.counters["evaluated"] == sweep.counters["points"] == 18
+        # Safe zone on/off share a plan: 3 policies x 3 budgets.
+        assert sweep.counters["plan_builds"] == 9
         assert sweep.counters["failed"] == 0
 
     def test_non_timing_fields_deterministic(self, quick_results):
@@ -388,6 +390,97 @@ class TestOptimizationEquivalence:
             n.node_id for n in baseline.graph.topological_nodes()
         ]
         assert cached.plan.barriers == baseline.plan.barriers
+
+    def test_plan_memo_identical_across_executors(self, s27, tmp_path):
+        """Plan memo on/off: same records on every executor, same bounds.
+
+        A small multi-scenario grid (4 distinct plans, 32 points) runs
+        serially, on a 2-process pool and through the lease queue (a
+        thread worker), each with the memo on and under
+        ``plan_memo_disabled()``; the static screener's bounds must not
+        move either.
+        """
+        import threading
+        from contextlib import nullcontext
+
+        from repro.analysis import StaticScreener
+        from repro.core.replacement import plan_memo_disabled
+        from repro.dse import (
+            DesignPoint,
+            SweepEngine,
+            SweepRequest,
+            SweepSpec,
+            record_to_dict,
+        )
+        from repro.energy.scenarios import ScenarioSpec
+        from repro.service import SweepCoordinator, run_worker
+
+        spec = SweepSpec(
+            circuits=("s27",),
+            policies=(1, 3),
+            budget_scales=(0.001, 1.0),
+            safe_zones=(True, False),
+            threshold_scales=(1.0, 1.25),
+            scenarios=(
+                ScenarioSpec(),
+                ScenarioSpec(name="rf-markov", seed=7),
+            ),
+        )
+        request = SweepRequest(spec=spec)
+
+        def queued(path):
+            worker = threading.Thread(
+                target=run_worker,
+                args=(path, path),
+                kwargs={"poll_s": 0.01, "store_backend": "sqlite"},
+                daemon=True,
+            )
+            coordinator = SweepCoordinator(
+                path, workers=0, poll_s=0.02, store_backend="sqlite"
+            )
+            worker.start()
+            try:
+                return coordinator.submit(request)
+            finally:
+                worker.join(timeout=30)
+
+        screener = StaticScreener(
+            netlists={"s27": s27}, scenarios=spec.scenarios
+        )
+        points = [
+            DesignPoint(policy=policy, budget_scale=scale, use_safe_zone=safe)
+            for policy in spec.policies
+            for scale in spec.budget_scales
+            for safe in spec.safe_zones
+        ]
+        runs = {}
+        bounds = {}
+        for memo in (True, False):
+            with nullcontext() if memo else plan_memo_disabled():
+                runs[memo] = {
+                    "serial": SweepEngine(workers=1).submit(request),
+                    "pool": SweepEngine(workers=2).submit(request),
+                    "queue": queued(tmp_path / f"queue-{memo}.sqlite"),
+                }
+                bounds[memo] = [screener._bounds(point) for point in points]
+
+        def dumps(result):
+            return [
+                json.dumps(record_to_dict(r), sort_keys=True)
+                for r in result.records
+            ]
+
+        reference = dumps(runs[True]["serial"])
+        assert len(reference) == 32
+        for memo, by_executor in runs.items():
+            for name, result in by_executor.items():
+                assert not result.failures, (memo, name)
+                assert dumps(result) == reference, (memo, name)
+        assert runs[True]["serial"].stats.plan_builds == 4
+        assert runs[True]["pool"].stats.plan_builds == 4
+        assert runs[False]["serial"].stats.plan_builds == 32
+        assert bounds[True] == bounds[False]
+        assert all(row is not None for rows in bounds[True] for row in rows)
 
     def test_netlist_topo_cache_tracks_growth(self, tiny_chain):
         """The cached order invalidates when the netlist grows."""

@@ -18,6 +18,7 @@ from repro.dse import (
     SweepSpec,
     SynthesisCache,
 )
+from repro.energy.scenarios import ScenarioSpec
 from repro.suite import load_circuit
 from repro.tech import MRAM, RERAM
 
@@ -495,3 +496,111 @@ class TestSweepCli:
         capsys.readouterr()
         assert main(args + ["--resume"]) == 0
         assert "(1 resumed, 0 failed)" in capsys.readouterr().out
+
+
+class TestPlanMemo:
+    """The batch-local NVM plan memo shares plans without leaking them."""
+
+    #: Budgets small enough that every plan places barriers (s27 gets
+    #: none at the derived default budget).
+    SPEC = SweepSpec(
+        circuits=("s27",),
+        policies=(1, 3),
+        budget_scales=(0.0001, 0.001),
+        safe_zones=(True, False),
+        threshold_scales=(1.0, 1.25),
+        scenarios=(ScenarioSpec(), ScenarioSpec(name="rf-markov", seed=7)),
+    )
+
+    def test_shared_plans_match_fresh_builds(self, s27):
+        """No consumer writes to a memoized plan or its code bundle.
+
+        Runs the grid through the batched lanes and the per-task path
+        on one memo (so every environment build, profile, lane and
+        record assembly has read the shared plans), then compares each
+        shared plan with a fresh, unmemoized build of the same point.
+        """
+        import hashlib
+
+        from repro.dse.batch import evaluate_jobs_batched
+        from repro.dse.explorer import prepare_point
+
+        tasks = [
+            (index, scenario, point)
+            for index, (_c, scenario, point) in enumerate(self.SPEC.points())
+        ]
+        cache = SynthesisCache()
+        plans: dict = {}
+        records, errors = evaluate_jobs_batched(
+            s27, tasks, cache=cache, plans=plans
+        )
+        assert not errors and len(records) == 32
+        for _key, scenario, point in tasks:
+            evaluate_point(
+                s27, point, cache=cache, scenario=scenario, plans=plans
+            )
+        assert len(plans) == 4  # policy x budget
+        assert all(plan.barriers for plan in plans.values())
+
+        def digest(prepared):
+            plan = prepared.design.plan
+            return (
+                plan.barriers,
+                [p.commit_bits for p in plan.schedule()],
+                {
+                    node_id: (node.nvm_barrier, node.barrier_bits)
+                    for node_id, node in plan.graph.nodes.items()
+                },
+                hashlib.sha256(
+                    prepared.design.code.verilog.encode()
+                ).hexdigest(),
+            )
+
+        for _key, scenario, point in tasks:
+            shared = prepare_point(
+                s27, point, cache=cache, scenario=scenario, plans=plans
+            )
+            assert any(shared.design.plan is p for p in plans.values())
+            fresh = prepare_point(s27, point, scenario=scenario)
+            assert digest(shared) == digest(fresh), point.label()
+        assert len(plans) == 4
+
+    def test_equal_graph_copy_misses(self, s27):
+        from repro.core.diac import DiacConfig, DiacSynthesizer
+        from repro.core.replacement import insert_nvm
+
+        _report, shaped, _config = SynthesisCache().stage_for(
+            s27, DiacConfig()
+        )
+        budget = DiacSynthesizer().derive_budget_j(s27)
+        plans: dict = {}
+        first = insert_nvm(shaped, budget, plans=plans)
+        assert insert_nvm(shaped, budget, plans=plans) is first
+        twin = shaped.clone()
+        other = insert_nvm(twin, budget, plans=plans)
+        assert other is not first and len(plans) == 2
+        assert other.barriers == first.barriers
+        assert insert_nvm(shaped, budget / 2, plans=plans) is not first
+
+    def test_no_memo_survives_a_request(self, monkeypatch):
+        import repro.core.replacement as replacement
+
+        walks = []
+        real = replacement._place_barriers
+
+        def counting(*args):
+            walks.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(replacement, "_place_barriers", counting)
+        engine = SweepEngine(workers=1)
+        request = SweepRequest(spec=self.SPEC)
+        first = engine.submit(request)
+        n_first = len(walks)
+        second = engine.submit(request)
+        assert n_first == 4
+        assert len(walks) == 2 * n_first
+        assert first.stats.plan_builds == second.stats.plan_builds == 4
+        assert [record_fingerprint(r) for r in first.records] == [
+            record_fingerprint(r) for r in second.records
+        ]
