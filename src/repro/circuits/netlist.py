@@ -143,6 +143,21 @@ class Netlist:
         """All combinational cells, in insertion order."""
         return [g for g in self.gates.values() if g.is_combinational]
 
+    def logic_gate_names(self) -> frozenset[str]:
+        """Names of the combinational cells (cached, growth-aware as in
+        :meth:`topological_order`); the task-graph partition check
+        compares every graph's gate ownership against this set."""
+        cached = self.__dict__.get("_logic_cache")
+        if (
+            cached is not None
+            and cached[0] is self.gates
+            and cached[1] == len(self.gates)
+        ):
+            return cached[2]
+        names = frozenset(g.name for g in self.logic_gates)
+        self.__dict__["_logic_cache"] = (self.gates, len(self.gates), names)
+        return names
+
     @property
     def num_gates(self) -> int:
         """Number of combinational gates (the paper's '# Gates' metric)."""
@@ -160,12 +175,13 @@ class Netlist:
         """Pickle without the derived caches.
 
         The fanout cache holds a (non-picklable) mapping proxy, and
-        neither cache is worth shipping to sweep worker processes —
+        no cache is worth shipping to sweep worker processes —
         each side rebuilds on first use.
         """
         state = self.__dict__.copy()
         state.pop("_topo_cache", None)
         state.pop("_fanout_cache", None)
+        state.pop("_logic_cache", None)
         return state
 
     def __iter__(self) -> Iterator[Gate]:

@@ -29,9 +29,11 @@ invariants.  Safety arguments, used instead of expensive cycle checks:
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.core.tree import TaskGraph, TaskNode, TreeError
+from repro.core.tree import TaskGraph, TaskNode, TreeError, graph_caches_enabled
 
 
 @dataclass(frozen=True)
@@ -101,38 +103,48 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     Chunks are contiguous runs of the node's gates in global topological
     order, greedily packed so each chunk stays at or under the threshold
     (single gates above the threshold become singleton chunks — gates are
-    our atomic unit).
+    our atomic unit).  A pass that splits nothing (always the case at
+    ``gate`` granularity) derives the result from ``graph`` with its
+    adjacency, order and levels unchanged.
 
     Returns:
         A new checked graph; the input graph is not modified.
     """
-    topo_index = {
-        g.name: i for i, g in enumerate(graph.netlist.topological_order())
-    }
-    per_gate = {
-        g.name: graph.report.block_energy_j([g.name])
-        for g in graph.netlist.logic_gates
-    }
-    new_nodes: list[TaskNode] = []
-    for node in graph.topological_nodes():
+    order = graph.topological_nodes()
+    chunked: dict[str, list[list[str]]] = {}
+    topo_index: dict[str, int] | None = None
+    for node in order:
         if node.feature.energy_j <= config.split_threshold_j or len(node.gates) == 1:
-            new_nodes.append(TaskNode(node_id=node.node_id, gates=node.gates))
             continue
-        ordered = sorted(node.gates, key=lambda g: topo_index[g])
+        if topo_index is None:
+            topo_index = {
+                g.name: i
+                for i, g in enumerate(graph.netlist.topological_order())
+            }
         chunks: list[list[str]] = [[]]
         acc = 0.0
-        for gate in ordered:
-            cost = per_gate[gate]
+        for gate in sorted(node.gates, key=topo_index.__getitem__):
+            cost = graph.report.block_energy_j((gate,))
             if chunks[-1] and acc + cost > config.split_threshold_j:
                 chunks.append([])
                 acc = 0.0
             chunks[-1].append(gate)
             acc += cost
-        for i, chunk in enumerate(chunks):
-            new_nodes.append(
+        chunked[node.node_id] = chunks
+    if not chunked:
+        result = graph.contract({node.node_id: (node.node_id,) for node in order})
+    else:
+        new_nodes: list[TaskNode] = []
+        for node in order:
+            pieces = chunked.get(node.node_id)
+            if pieces is None:
+                new_nodes.append(node.carried())
+                continue
+            new_nodes.extend(
                 TaskNode(node_id=f"{node.node_id}.s{i}", gates=tuple(chunk))
+                for i, chunk in enumerate(pieces)
             )
-    result = TaskGraph(graph.netlist, graph.report, new_nodes)
+        result = TaskGraph(graph.netlist, graph.report, new_nodes)
     result.check()
     result.recompute_features()
     return result
@@ -145,8 +157,8 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
 
 def _chain_merge_pass(
     graph: TaskGraph, threshold_j: float, cap_j: float
-) -> tuple[list[TaskNode], bool]:
-    """One pass of safe edge contractions; returns (nodes, changed)."""
+) -> tuple[dict[str, list[str]], bool]:
+    """One pass of safe edge contractions; returns (host groups, changed)."""
     merged_into: dict[str, str] = {}
     used: set[str] = set()
     energies = {nid: n.feature.energy_j for nid, n in graph.nodes.items()}
@@ -178,32 +190,85 @@ def _chain_merge_pass(
         used.add(partner)
         merged_into[partner] = nid
     if not merged_into:
-        return list(graph.nodes.values()), False
-    groups: dict[str, list[str]] = {}
-    for nid in graph.nodes:
-        if nid in merged_into:
-            continue
-        groups[nid] = [nid]
+        return {}, False
+    groups = {nid: [nid] for nid in graph.nodes if nid not in merged_into}
     for absorbed, host in merged_into.items():
         groups[host].append(absorbed)
-    nodes = [
-        TaskNode(
-            node_id=host,
-            gates=tuple(
-                g for member in members for g in graph.nodes[member].gates
-            ),
-        )
-        for host, members in groups.items()
-    ]
-    return nodes, True
+    return groups, True
+
+
+def first_fit_linear(sizes: Sequence[float], cap: float) -> list[list[int]]:
+    """First-fit bin packing by a linear scan over the open bins.
+
+    Item ``i`` joins the leftmost bin whose total plus ``sizes[i]`` is
+    at most ``cap``, else opens a new bin (which takes it even above
+    ``cap``).  Returns each bin's item indices; the reference for
+    :func:`first_fit`.
+    """
+    bins: list[list[int]] = []
+    totals: list[float] = []
+    for index, size in enumerate(sizes):
+        for slot, total in enumerate(totals):
+            if total + size <= cap:
+                bins[slot].append(index)
+                totals[slot] = total + size
+                break
+        else:
+            bins.append([index])
+            totals.append(size)
+    return bins
+
+
+def first_fit(sizes: Sequence[float], cap: float) -> list[list[int]]:
+    """:func:`first_fit_linear` in O(log bins) per item.
+
+    A min-tree over the bin totals (empty slots hold +inf) is descended
+    to the leftmost bin with ``total + size <= cap``.  Float addition is
+    monotone, so ``min + size <= cap`` decides exactly whether any bin
+    below a tree node fits; the chosen bin, and every accumulated
+    total, equal the linear scan's.
+    """
+    bins: list[list[int]] = []
+    width = 1
+    tree = [math.inf, math.inf]  # tree[width + slot] is bin slot's total
+    for index, size in enumerate(sizes):
+        if bins and tree[1] + size <= cap:
+            pos = 1
+            while pos < width:
+                pos *= 2
+                if not tree[pos] + size <= cap:
+                    pos += 1
+            slot = pos - width
+            bins[slot].append(index)
+            total = tree[pos] + size
+        else:
+            slot = len(bins)
+            bins.append([index])
+            total = size
+            if slot == width:
+                leaves = tree[width:]
+                width *= 2
+                tree = [math.inf] * (2 * width)
+                tree[width : width + len(leaves)] = leaves
+                for pos in range(width - 1, 0, -1):
+                    tree[pos] = min(tree[2 * pos], tree[2 * pos + 1])
+        pos = width + slot
+        tree[pos] = total
+        while pos > 1:
+            left = tree[pos & ~1]
+            right = tree[pos | 1]
+            pos >>= 1
+            tree[pos] = left if left <= right else right
+    return bins
 
 
 def _level_pack_pass(
     graph: TaskGraph, threshold_j: float, cap_j: float
-) -> tuple[list[TaskNode], bool]:
-    """Bin-pack small same-level nodes together; returns (nodes, changed)."""
+) -> tuple[dict[str, list[str]], bool]:
+    """Bin-pack small same-level nodes together; returns (host groups, changed)."""
+    pack = first_fit if graph_caches_enabled() else first_fit_linear
     changed = False
-    new_nodes: list[TaskNode] = []
+    groups: dict[str, list[str]] = {}
     by_level: dict[int, list[TaskNode]] = {}
     for node in graph.nodes.values():
         by_level.setdefault(node.feature.level, []).append(node)
@@ -212,31 +277,24 @@ def _level_pack_pass(
             by_level.get(level, ()), key=lambda n: n.node_id
         )
         small = [n for n in members if n.feature.energy_j < threshold_j]
-        big = [n for n in members if n.feature.energy_j >= threshold_j]
-        new_nodes.extend(TaskNode(node_id=n.node_id, gates=n.gates) for n in big)
+        for n in members:
+            if n.feature.energy_j >= threshold_j:
+                groups[n.node_id] = [n.node_id]
         small.sort(key=lambda n: n.feature.energy_j, reverse=True)
-        bins: list[tuple[list[TaskNode], float]] = []
-        for node in small:
-            placed = False
-            for i, (members, total) in enumerate(bins):
-                if total + node.feature.energy_j <= cap_j:
-                    members.append(node)
-                    bins[i] = (members, total + node.feature.energy_j)
-                    placed = True
-                    break
-            if not placed:
-                bins.append(([node], node.feature.energy_j))
-        for members, _total in bins:
-            if len(members) > 1:
+        for slots in pack([n.feature.energy_j for n in small], cap_j):
+            if len(slots) > 1:
                 changed = True
-            host = members[0]
-            new_nodes.append(
-                TaskNode(
-                    node_id=host.node_id,
-                    gates=tuple(g for m in members for g in m.gates),
-                )
-            )
-    return new_nodes, changed
+            ids = [small[i].node_id for i in slots]
+            groups[ids[0]] = ids
+    return groups, changed
+
+
+def _derive(parent: TaskGraph, groups: dict[str, list[str]]) -> TaskGraph:
+    """The checked, featured graph contracting ``parent`` by ``groups``."""
+    child = parent.contract(groups)
+    child.check()
+    child.recompute_features()
+    return child
 
 
 def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
@@ -244,10 +302,18 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
 
     Alternates same-level bin-packing with chain contractions until the
     smallest node reaches ``min_fraction`` of the largest, nothing below
-    the merge threshold remains, or no safe merge exists.
+    the merge threshold remains, or no safe merge exists.  Each merge
+    pass derives its graph from the previous one
+    (:meth:`~repro.core.tree.TaskGraph.contract`): only merged nodes
+    are costed, and edges are contracted rather than rebuilt.
     """
     current = graph.clone()
     current.recompute_features()
+    return _merge_passes(current, config)
+
+
+def _merge_passes(current: TaskGraph, config: PolicyConfig) -> TaskGraph:
+    """Policy 2's merge loop over a featured graph the caller owns."""
     if not current.nodes:
         return current
     cap = config.effective_cap_j
@@ -256,16 +322,12 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
         floor = max(
             config.merge_threshold_j, config.min_fraction * max(energies)
         )
-        nodes, changed_pack = _level_pack_pass(current, floor, cap)
+        groups, changed_pack = _level_pack_pass(current, floor, cap)
         if changed_pack:
-            current = TaskGraph(graph.netlist, graph.report, nodes)
-            current.check()
-            current.recompute_features()
-        nodes, changed_chain = _chain_merge_pass(current, floor, cap)
+            current = _derive(current, groups)
+        groups, changed_chain = _chain_merge_pass(current, floor, cap)
         if changed_chain:
-            current = TaskGraph(graph.netlist, graph.report, nodes)
-            current.check()
-            current.recompute_features()
+            current = _derive(current, groups)
         if not changed_pack and not changed_chain:
             break
     return current
@@ -283,8 +345,9 @@ def apply_policy3(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     simultaneously provides acceptable resiliency and efficiency", used for
     all Section IV results).
     """
-    split_graph = apply_policy1(graph, config)
-    return apply_policy2(split_graph, config)
+    # The split graph is fresh and featured, with no barriers, so the
+    # merge loop takes it as is instead of a clone of it.
+    return _merge_passes(apply_policy1(graph, config), config)
 
 
 def apply_policy(graph: TaskGraph, policy: int, config: PolicyConfig) -> TaskGraph:

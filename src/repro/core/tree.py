@@ -17,7 +17,7 @@ A :class:`TaskGraph` always satisfies two invariants, enforced by
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -25,20 +25,25 @@ from repro.core.feature import FeatureDict
 from repro.circuits.netlist import Netlist
 from repro.tech.synthesis import SynthesisReport
 
-#: Graph-topology caching switch.  The policy passes validate a freshly
-#: built graph (``check`` — builds edges, computes a topological order)
-#: and immediately re-derive features over the same topology; caching
-#: the order makes the second walk free.  The perf harness flips this
-#: off to time the uncached baseline; results are identical either way.
+#: Graph-derivation switch; see :func:`graph_caches_disabled`.
 _CACHE_TOPOLOGY = True
+
+#: Work counters (graph constructions, intrinsic-feature builds) read
+#: through :func:`graph_work`.  Plain integers, so they pin no graph;
+#: unlocked, so they are exact for work done on one thread (the perf
+#: suites and tests measure that way).
+_WORK = {"graphs_built": 0, "feature_builds": 0}
 
 
 @contextmanager
 def graph_caches_disabled() -> Iterator[None]:
-    """Temporarily disable :class:`TaskGraph` topology caching.
+    """Temporarily build every task graph from scratch (the oracle).
 
-    Used by ``repro.perf`` to measure the uncached baseline; pinned
-    equivalent by the perf equivalence tests.
+    Inside the block every graph rebuilds its adjacency from the gate
+    inputs, every node's features are recomputed per graph, and the
+    policies' first-fit bin packing is the linear scan.  Used by
+    ``repro.perf`` to time the from-scratch path and by the
+    differential tests, which pin it identical to the derived path.
     """
     global _CACHE_TOPOLOGY
     previous = _CACHE_TOPOLOGY
@@ -47,6 +52,21 @@ def graph_caches_disabled() -> Iterator[None]:
         yield
     finally:
         _CACHE_TOPOLOGY = previous
+
+
+def graph_caches_enabled() -> bool:
+    """Whether graphs are derived from their parents (the default)."""
+    return _CACHE_TOPOLOGY
+
+
+def graph_work() -> dict[str, int]:
+    """Snapshot of the process-wide graph work counters.
+
+    ``graphs_built`` counts :class:`TaskGraph` constructions and
+    ``feature_builds`` counts nodes whose intrinsic features were
+    computed; callers diff two snapshots around the work they measure.
+    """
+    return dict(_WORK)
 
 
 class TreeError(ValueError):
@@ -64,6 +84,11 @@ class TaskNode:
         nvm_barrier: whether the replacement step placed an NVM commit
             point at this node's outputs.
         barrier_bits: state bits a commit at this node must write.
+        costed_gates: the gate tuple ``feature``'s intrinsic fields
+            (fan-in/out, energy, delay, gate count) were computed for,
+            or None before costing.  A node whose ``gates`` is not this
+            very tuple is re-costed by the next
+            :meth:`TaskGraph.recompute_features`.
     """
 
     node_id: str
@@ -71,14 +96,43 @@ class TaskNode:
     feature: FeatureDict = field(default_factory=FeatureDict)
     nvm_barrier: bool = False
     barrier_bits: int = 0
+    costed_gates: tuple[str, ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.gates:
             raise TreeError(f"node {self.node_id!r} contains no gates")
 
+    def carried(self) -> "TaskNode":
+        """This node for a derived graph: same id and gates.
+
+        Its feature dictionary is a *copy* (the derived graph then sets
+        its own level; accumulation and barrier fields start fresh),
+        so writes to either node never reach the other.
+        """
+        f = self.feature
+        return TaskNode(
+            self.node_id,
+            self.gates,
+            FeatureDict(
+                f.fan_in, f.fan_out, f.level, f.energy_j, f.delay_s,
+                f.n_gates,
+            ),
+            costed_gates=self.costed_gates,
+        )
+
 
 class TaskGraph:
     """A levelized DAG of :class:`TaskNode` over a synthesized netlist.
+
+    Node membership is fixed when a graph is built: its adjacency,
+    topological order and levels come from one pass over the partition
+    the constructor saw, and a policy that changes membership derives a
+    new graph (:meth:`contract`) instead of editing this one.  Features
+    follow gate sets: the intrinsic fields of a node are computed once
+    for its gate tuple and carried, as copies, into every derived graph
+    that keeps the node; only ``level`` is per graph.
 
     Args:
         netlist: the underlying circuit.
@@ -110,9 +164,11 @@ class TaskGraph:
                 self._owner[gate] = node.node_id
         self._edges: dict[str, set[str]] | None = None
         self._redges: dict[str, set[str]] | None = None
-        self._fanout: dict[str, tuple[str, ...]] | None = None
+        self._fanout: Mapping[str, tuple[str, ...]] | None = None
         self._outputs: set[str] | None = None
         self._topo_ids: list[str] | None = None
+        self._levels: dict[str, int] | None = None
+        _WORK["graphs_built"] += 1
 
     # -- construction helpers -------------------------------------------------
 
@@ -131,6 +187,71 @@ class TaskGraph:
                         edges[src_owner].add(node.node_id)
                         redges[node.node_id].add(src_owner)
         self._edges, self._redges = edges, redges
+
+    def _adopt(self, parent: "TaskGraph") -> None:
+        """Take the parent's netlist views, adjacency, order and levels.
+
+        Only for a graph with the parent's exact membership; none of
+        these structures is ever mutated, so sharing them is safe.
+        """
+        self._fanout, self._outputs = parent._fanout, parent._outputs
+        self._edges, self._redges = parent._edges, parent._redges
+        self._topo_ids, self._levels = parent._topo_ids, parent._levels
+
+    def contract(self, groups: Mapping[str, Sequence[str]]) -> "TaskGraph":
+        """The graph whose node ``host`` owns the gates of ``groups[host]``.
+
+        ``groups`` partitions this graph's node ids; its order is the new
+        node order and each member list's order is the merged gate
+        order.  A single-member group keeps its node (a carried copy);
+        only merged nodes get new gate sets to cost.  The edges are this
+        graph's edges mapped through member -> host (a merged node's
+        dataflow is exactly its members' dataflow minus the internal
+        edges), so no gate input is re-walked; when nothing merges, the
+        adjacency, order and levels carry over unchanged.  Under
+        :func:`graph_caches_disabled` the result is built from scratch.
+
+        Returns:
+            The derived graph, unchecked and without fresh features —
+            callers run :meth:`check` and :meth:`recompute_features`.
+        """
+        nodes: list[TaskNode] = []
+        merged = False
+        for host, members in groups.items():
+            if len(members) == 1 and members[0] == host:
+                nodes.append(self.nodes[host].carried())
+            else:
+                merged = True
+                nodes.append(
+                    TaskNode(
+                        node_id=host,
+                        gates=tuple(
+                            g for m in members for g in self.nodes[m].gates
+                        ),
+                    )
+                )
+        child = TaskGraph(self.netlist, self.report, nodes)
+        if not _CACHE_TOPOLOGY:
+            return child
+        if not merged:
+            self._walk_once()
+            child._adopt(self)
+            return child
+        child._fanout, child._outputs = self._fanout, self._outputs
+        edges = self.edges
+        host_of = {m: host for host, members in groups.items() for m in members}
+        new_edges: dict[str, set[str]] = {host: set() for host in groups}
+        new_redges: dict[str, set[str]] = {host: set() for host in groups}
+        for src, succs in edges.items():
+            src_host = host_of[src]
+            out = new_edges[src_host]
+            for dst in succs:
+                dst_host = host_of[dst]
+                if dst_host != src_host:
+                    out.add(dst_host)
+                    new_redges[dst_host].add(src_host)
+        child._edges, child._redges = new_edges, new_redges
+        return child
 
     @property
     def edges(self) -> dict[str, set[str]]:
@@ -152,12 +273,13 @@ class TaskGraph:
         return self._redges[node_id]
 
     def invalidate(self) -> None:
-        """Drop cached adjacency (call after mutating node membership)."""
+        """Drop the adjacency, order and levels (rebuilt on next use)."""
         self._edges = None
         self._redges = None
         self._topo_ids = None
+        self._levels = None
 
-    def _netlist_fanout(self) -> dict[str, tuple[str, ...]]:
+    def _netlist_fanout(self) -> Mapping[str, tuple[str, ...]]:
         """Cached netlist fanout map (the netlist is never mutated)."""
         if self._fanout is None:
             self._fanout = self.netlist.fanout_map()
@@ -177,62 +299,134 @@ class TaskGraph:
         Raises:
             TreeError: on any violation.
         """
-        comb = {g.name for g in self.netlist.logic_gates}
-        owned = set(self._owner)
-        missing = comb - owned
-        extra = owned - comb
-        if missing:
-            raise TreeError(f"gates not covered by any node: {sorted(missing)[:8]}")
-        if extra:
-            raise TreeError(f"nodes own non-combinational gates: {sorted(extra)[:8]}")
+        comb = self.netlist.logic_gate_names()
+        owned = self._owner.keys()
+        if len(owned) != len(comb) or not comb.issuperset(owned):
+            missing = comb.difference(owned)
+            extra = owned - comb
+            if missing:
+                raise TreeError(
+                    f"gates not covered by any node: {sorted(missing)[:8]}"
+                )
+            raise TreeError(
+                f"nodes own non-combinational gates: {sorted(extra)[:8]}"
+            )
         self.topological_nodes()  # raises on cycles
 
-    def topological_nodes(self) -> list[TaskNode]:
-        """Nodes in dependency order (cached until :meth:`invalidate`).
+    def _walk(self) -> None:
+        """One Kahn pass: the topological order, the levels, the cycle check.
+
+        Ties break deterministically: the ready set is a stack seeded
+        with the sorted sources, and each node pushes its newly ready
+        successors in sorted order.  A node's level (sources at 1, as in
+        the paper's figures) is final when it is popped, since all its
+        predecessors were popped before it.
 
         Raises:
             TreeError: if the node graph is cyclic.
         """
-        if _CACHE_TOPOLOGY and self._topo_ids is not None:
-            # Integrity guard: a caller that added/removed/renamed nodes
-            # without invalidate() must not get a stale order back.  A
-            # count mismatch recomputes; a renamed id fails loudly below
-            # (KeyError on the lookup).  Swapping a node's *gates* under
-            # an unchanged id is undetectable here — that is the
-            # documented invalidate() contract.
-            if len(self._topo_ids) == len(self.nodes):
-                return [self.nodes[nid] for nid in self._topo_ids]
-            self._topo_ids = None
-        indeg = {nid: len(self.predecessors(nid)) for nid in self.nodes}
+        edges = self.edges
+        assert self._redges is not None
+        indeg = {nid: len(self._redges[nid]) for nid in self.nodes}
+        levels = dict.fromkeys(self.nodes, 1)
         ready = sorted(nid for nid, d in indeg.items() if d == 0)
-        order: list[TaskNode] = []
+        order: list[str] = []
         while ready:
             nid = ready.pop()
-            order.append(self.nodes[nid])
-            for succ in sorted(self.successors(nid)):
+            order.append(nid)
+            below = levels[nid] + 1
+            succs = edges[nid]
+            for succ in sorted(succs) if len(succs) > 1 else succs:
+                if levels[succ] < below:
+                    levels[succ] = below
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
                     ready.append(succ)
         if len(order) != len(self.nodes):
             stuck = sorted(nid for nid, d in indeg.items() if d > 0)[:8]
             raise TreeError(f"cycle among task nodes: {stuck}")
-        if _CACHE_TOPOLOGY:
-            self._topo_ids = [node.node_id for node in order]
-        return order
+        self._topo_ids, self._levels = order, levels
+
+    def _walk_once(self) -> None:
+        """Run :meth:`_walk` unless a current result is cached.
+
+        A node count that no longer matches the cached order (nodes
+        added or removed after construction) walks again; under
+        :func:`graph_caches_disabled` every call walks.
+        """
+        if (
+            not _CACHE_TOPOLOGY
+            or self._topo_ids is None
+            or len(self._topo_ids) != len(self.nodes)
+        ):
+            self._walk()
+
+    def topological_nodes(self) -> list[TaskNode]:
+        """Nodes in dependency order.
+
+        Raises:
+            TreeError: if the node graph is cyclic.
+        """
+        self._walk_once()
+        assert self._topo_ids is not None
+        return [self.nodes[nid] for nid in self._topo_ids]
 
     # -- annotations ------------------------------------------------------------
 
     def recompute_features(self) -> None:
-        """Refresh every node's feature dictionary from the netlist/report.
+        """Bring every node's feature dictionary up to date.
 
-        Levels follow the node DAG (sources at 1, as in the paper's figures);
-        energy and delay come from the synthesis report's analytic model.
-        Callers that mutate node *membership* must call :meth:`invalidate`
-        first (every in-repo caller operates on a freshly built graph, so
-        the adjacency built by :meth:`check` is reused, not rebuilt).
+        Levels follow the node DAG (sources at 1); energy and delay come
+        from the synthesis report's analytic model.  Only nodes whose
+        gate tuple has not been costed yet get their intrinsic fields
+        computed; every other node keeps them and just takes this
+        graph's level (its accumulation is reset, as a fresh dictionary
+        would be).  Under :func:`graph_caches_disabled` every feature is
+        recomputed from scratch, levels by a separate predecessor walk.
         """
         if not _CACHE_TOPOLOGY:
-            self.invalidate()
+            self._recompute_from_scratch()
+            return
+        self._walk_once()
+        levels = self._levels
+        assert levels is not None
+        for nid, node in self.nodes.items():
+            if node.costed_gates is node.gates:
+                feature = node.feature
+                feature.accumulated_j = 0.0
+            else:
+                feature = node.feature = self._intrinsic_features(node)
+                node.costed_gates = node.gates
+            feature.level = levels[nid]
+
+    def _intrinsic_features(self, node: TaskNode) -> FeatureDict:
+        """Cost one gate set: everything but the level."""
+        _WORK["feature_builds"] += 1
+        gates_of = self.netlist.gates
+        fanout = self._netlist_fanout()
+        outputs = self._netlist_outputs()
+        inside = set(node.gates)
+        external: set[str] = set()
+        outs = 0
+        for gate in node.gates:
+            for src in gates_of[gate].inputs:
+                if src not in inside:
+                    external.add(src)
+            if gate in outputs or any(
+                c not in inside for c in fanout.get(gate, ())
+            ):
+                outs += 1
+        return FeatureDict(
+            fan_in=len(external),
+            fan_out=outs,
+            energy_j=self.report.block_energy_j(node.gates),
+            delay_s=self.report.block_critical_path_s(node.gates),
+            n_gates=len(node.gates),
+        )
+
+    def _recompute_from_scratch(self) -> None:
+        """The oracle path: fresh adjacency, order, levels and features."""
+        self.invalidate()
         order = self.topological_nodes()
         levels: dict[str, int] = {}
         for node in order:
@@ -240,40 +434,17 @@ class TaskGraph:
             levels[node.node_id] = (
                 1 if not preds else 1 + max(levels[p] for p in preds)
             )
-        gates_of = self.netlist.gates
-        fanout = self._netlist_fanout()
-        outputs = self._netlist_outputs()
         for node in order:
-            nid = node.node_id
-            # One shared membership set per node instead of one per
-            # fan-in/fan-out helper (identical counts, half the set
-            # builds; the uncached baseline keeps the helper path).
-            if _CACHE_TOPOLOGY:
-                inside = set(node.gates)
-                external: set[str] = set()
-                outs = 0
-                for gate in node.gates:
-                    for src in gates_of[gate].inputs:
-                        if src not in inside:
-                            external.add(src)
-                    consumers = fanout.get(gate, ())
-                    if (
-                        any(c not in inside for c in consumers)
-                        or gate in outputs
-                    ):
-                        outs += 1
-                fan_in, fan_out = len(external), outs
-            else:
-                fan_in = self._external_fanin(node)
-                fan_out = self._external_fanout(node)
+            _WORK["feature_builds"] += 1
             node.feature = FeatureDict(
-                fan_in=fan_in,
-                fan_out=fan_out,
-                level=levels[nid],
+                fan_in=self._external_fanin(node),
+                fan_out=self._external_fanout(node),
+                level=levels[node.node_id],
                 energy_j=self.report.block_energy_j(node.gates),
                 delay_s=self.report.block_critical_path_s(node.gates),
                 n_gates=len(node.gates),
             )
+            node.costed_gates = node.gates
 
     def _external_fanin(self, node: TaskNode) -> int:
         """Distinct nets entering the node from outside it."""
@@ -335,7 +506,12 @@ class TaskGraph:
         return {nid: n.feature.energy_j for nid, n in self.nodes.items()}
 
     def clone(self) -> "TaskGraph":
-        """Deep copy (nodes are re-created; netlist/report are shared)."""
+        """Deep copy (nodes are re-created; netlist/report are shared).
+
+        Every node field is copied, barrier flags included, and the
+        copies stay costed.  Membership is identical, so the adjacency,
+        order and levels transfer verbatim (they are never mutated).
+        """
         nodes = [
             TaskNode(
                 node_id=n.node_id,
@@ -343,19 +519,13 @@ class TaskGraph:
                 feature=FeatureDict(**vars(n.feature)),
                 nvm_barrier=n.nvm_barrier,
                 barrier_bits=n.barrier_bits,
+                costed_gates=n.costed_gates,
             )
             for n in self.nodes.values()
         ]
         copy = TaskGraph(self.netlist, self.report, nodes)
         if _CACHE_TOPOLOGY:
-            # Node membership is identical, so the adjacency and order
-            # caches transfer verbatim (they are never mutated, only
-            # dropped by invalidate()).
-            copy._edges = self._edges
-            copy._redges = self._redges
-            copy._topo_ids = self._topo_ids
-            copy._fanout = self._fanout
-            copy._outputs = self._outputs
+            copy._adopt(self)
         return copy
 
     def __len__(self) -> int:

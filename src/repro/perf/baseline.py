@@ -1,7 +1,8 @@
 """The unoptimized-baseline switch for speedup measurement.
 
-The PR-5 hot-path optimizations are pure caches — memoized block
-costing, task-graph topology reuse, netlist topological-order caching —
+The hot-path optimizations are pure caches or derivations — memoized
+block costing, task graphs derived from their parents, netlist
+topological-order caching, the batch-local NVM plan memo —
 each individually toggleable and each pinned bit-identical to its
 uncached path by the equivalence tests.  This module composes the
 toggles so the ``suite-eval`` perf suites can measure the *same code* in
@@ -28,9 +29,11 @@ from repro.tech.synthesis import block_cost_memo_disabled
 def hot_path_caches_disabled() -> Iterator[None]:
     """Disable every *toggleable* hot-path cache for the block.
 
-    Covers the block-cost memo, the task-graph topology caches, the
-    netlist topological-order/fanout caches and the batch-local NVM plan
-    memo (so every point builds, emits and round-trips its own plan).
+    Covers the block-cost memo, the derived task-graph path (every graph
+    rebuilt from scratch, every feature recomputed, linear first-fit),
+    the netlist topological-order/fanout caches and the batch-local NVM
+    plan memo (so every point builds, emits and round-trips its own
+    plan).
     Three PR-5 optimizations have no off switch (the ``Gate.is_*``
     cached properties, the trace fast path, the executor-locals
     rewrite), so a ratio measured over this baseline *understates* the

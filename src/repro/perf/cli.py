@@ -2,7 +2,8 @@
 
 ``perf run`` executes the timed suites and writes a schema-versioned
 ``BENCH_<n>.json``; ``perf compare`` gates a new file against a baseline
-and exits non-zero on regression (the CI bench job's contract); ``perf
+and exits non-zero on a wall-time regression or any rising ``work``
+count (the CI bench job's contract); ``perf
 history`` renders the committed trajectory.  Registered into the main
 parser by :func:`repro.cli.build_parser`.
 """
@@ -154,7 +155,8 @@ def register_perf_parser(sub: argparse._SubParsersAction) -> None:
     p_cmp.add_argument(
         "--max-regression", type=float, default=0.2, metavar="FRACTION",
         help="allowed wall-time growth per suite (0.2 = 20%%; CI uses a "
-        "generous value to absorb shared-runner noise)",
+        "generous value to absorb shared-runner noise); work counts get "
+        "no tolerance",
     )
     p_cmp.set_defaults(func=cmd_perf_compare)
 

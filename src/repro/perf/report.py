@@ -23,7 +23,10 @@ A report file (``BENCH_<n>.json``) is one run of the perf suites:
 ``compare`` only gates suites whose counters match exactly, so a quick CI
 run checks cleanly against a committed full-run baseline (full runs
 include every quick workload) and a workload change can never masquerade
-as a speedup.
+as a speedup.  A suite's optional ``work`` section (stage invocation
+counts such as ``plan_builds`` or ``feature_builds``) is gated exactly:
+any count that rises over the baseline fails the suite, whatever the
+wall clock says.
 """
 
 from __future__ import annotations
@@ -121,11 +124,13 @@ class SuiteComparison:
 
     Attributes:
         name: suite name.
-        status: ``"ok"``, ``"regression"``, ``"workload-changed"``,
-            ``"old-only"`` or ``"new-only"``.
+        status: ``"ok"``, ``"regression"`` (wall time),
+            ``"work-regression"`` (a ``work`` count rose),
+            ``"workload-changed"``, ``"old-only"`` or ``"new-only"``.
         old_wall_s / new_wall_s: measured walls (None when absent).
         ratio: ``new/old`` wall ratio (None when either side is absent
             or the workloads differ).
+        work_rises: ``(name, old, new)`` for each work count that rose.
     """
 
     name: str
@@ -133,6 +138,11 @@ class SuiteComparison:
     old_wall_s: float | None = None
     new_wall_s: float | None = None
     ratio: float | None = None
+    work_rises: tuple[tuple[str, int, int], ...] = ()
+
+
+#: Comparison statuses that fail the gate.
+_FAILING = ("regression", "work-regression")
 
 
 @dataclass
@@ -144,15 +154,27 @@ class ComparisonResult:
 
     @property
     def regressions(self) -> list[SuiteComparison]:
-        """The suites that regressed beyond the allowed fraction."""
-        return [e for e in self.entries if e.status == "regression"]
+        """The suites that failed: wall time past the allowed fraction,
+        or any work count above the baseline."""
+        return [e for e in self.entries if e.status in _FAILING]
 
     @property
     def compared(self) -> int:
         """Suites actually gated (matching name and workload)."""
         return sum(
-            1 for e in self.entries if e.status in ("ok", "regression")
+            1 for e in self.entries if e.status == "ok" or e.status in _FAILING
         )
+
+
+def _work_rises(old: dict, new: dict) -> tuple[tuple[str, int, int], ...]:
+    """Work counts present on both sides that grew from ``old`` to ``new``."""
+    old_work = old.get("work") or {}
+    new_work = new.get("work") or {}
+    return tuple(
+        (key, old_work[key], new_work[key])
+        for key in sorted(set(old_work) & set(new_work))
+        if new_work[key] > old_work[key]
+    )
 
 
 def compare_reports(
@@ -163,9 +185,11 @@ def compare_reports(
     """Gate ``new`` against ``old``.
 
     A suite regresses when its wall time grows by more than
-    ``max_regression`` (0.2 == 20% slower than the baseline).  Suites
-    missing on either side, or whose deterministic ``counters`` differ
-    (a changed workload), are reported but never gated.
+    ``max_regression`` (0.2 == 20% slower than the baseline), and
+    work-regresses when any ``work`` count both sides report is higher
+    than the baseline's (no tolerance: the counts are deterministic).
+    Suites missing on either side, or whose deterministic ``counters``
+    differ (a changed workload), are reported but never gated.
 
     Raises:
         PerfReportError: for a negative ``max_regression``.
@@ -213,7 +237,13 @@ def compare_reports(
                 f"suite {name!r} has a non-positive baseline wall time"
             )
         ratio = new_wall / old_wall
-        status = "regression" if ratio > 1.0 + max_regression else "ok"
+        rises = _work_rises(old_suites[name], new_suites[name])
+        if rises:
+            status = "work-regression"
+        elif ratio > 1.0 + max_regression:
+            status = "regression"
+        else:
+            status = "ok"
         result.entries.append(
             SuiteComparison(
                 name,
@@ -221,6 +251,7 @@ def compare_reports(
                 old_wall_s=old_wall,
                 new_wall_s=new_wall,
                 ratio=ratio,
+                work_rises=rises,
             )
         )
     return result
@@ -236,14 +267,18 @@ def format_comparison(result: ComparisonResult) -> str:
                 "-" if entry.old_wall_s is None else f"{entry.old_wall_s:.4f}",
                 "-" if entry.new_wall_s is None else f"{entry.new_wall_s:.4f}",
                 "-" if entry.ratio is None else f"{entry.ratio:.3f}x",
-                entry.status,
+                entry.status
+                + "".join(
+                    f" {key} {old}->{new}" for key, old, new in entry.work_rises
+                ),
             ]
         )
     table = format_table(
         ["suite", "old wall (s)", "new wall (s)", "ratio", "status"],
         rows,
         title="perf comparison (ratio > "
-        f"{1.0 + result.max_regression:.2f}x regresses)",
+        f"{1.0 + result.max_regression:.2f}x or any rising work count "
+        "regresses)",
     )
     n_reg = len(result.regressions)
     verdict = (

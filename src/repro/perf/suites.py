@@ -32,12 +32,15 @@ prepared outside the timed section:
   measured ``sqlite_vs_jsonl`` ratio;
 * ``suite-eval-quick`` / ``suite-eval-full`` — the Fig. 5
   :func:`repro.evaluation.evaluate_suite` harness, including the
-  measured speedup of the memoized block-costing path over the
-  unmemoized baseline (the committed trajectory's headline number).
+  measured speedup of the derived, memoized path over the from-scratch
+  baseline (the committed trajectory's headline number), and the task
+  graphs and intrinsic-feature builds one pass costs.
 
 Suites report a :class:`SuiteResult` whose ``counters`` are fully
 deterministic (they double as the workload fingerprint ``perf compare``
-matches on) and whose ``rates`` are derived from the measured wall time.
+matches on), whose ``work`` holds deterministic stage invocation counts
+(gated exactly) and whose ``rates`` are derived from the measured wall
+time.
 """
 
 from __future__ import annotations
@@ -86,12 +89,18 @@ class SuiteResult:
             evals/s, speedup ratios) — *not* deterministic.
         counters: deterministic workload fingerprint and event counts;
             two runs of the same code on any host agree on these.
+        work: deterministic stage invocation counts for one run of the
+            workload (synthesis runs, NVM plan builds, task graphs
+            built, intrinsic-feature builds).  Not part of the
+            fingerprint: ``perf compare`` fails a suite whose work
+            count rises, with no noise tolerance.
     """
 
     name: str
     timing: Timing
     rates: dict[str, float] = field(default_factory=dict)
     counters: dict[str, object] = field(default_factory=dict)
+    work: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready view (grouped so timing fields are separable)."""
@@ -99,6 +108,7 @@ class SuiteResult:
             "timing": self.timing.as_dict(),
             "rates": dict(self.rates),
             "counters": dict(self.counters),
+            "work": dict(self.work),
         }
 
 
@@ -265,10 +275,15 @@ def _sweep_counters(result) -> dict[str, object]:
         "evaluated": stats.n_evaluated,
         "failed": stats.n_failed,
         "batches": stats.n_batches,
-        "synthesize_calls": stats.synthesize_calls,
-        "plan_builds": stats.plan_builds,
         "cache_hit_ratio": round(stats.cache_hit_ratio, 6),
         "workers": stats.workers,
+    }
+
+
+def _sweep_work(result) -> dict[str, int]:
+    return {
+        "synthesize_calls": result.stats.synthesize_calls,
+        "plan_builds": result.stats.plan_builds,
     }
 
 
@@ -288,6 +303,7 @@ def _sweep_engine_suite(name: str, workers: int, repeats: int) -> SuiteResult:
         timing=timing,
         rates={"evals_per_s": result.stats.n_evaluated / timing.wall_s},
         counters=_sweep_counters(result),
+        work=_sweep_work(result),
     )
 
 
@@ -336,6 +352,7 @@ def _sweep_resilience(repeats: int) -> SuiteResult:
             "overhead_vs_disabled": timing.wall_s / baseline.wall_s,
         },
         counters={**_sweep_counters(result), "retries": result.stats.n_retries},
+        work=_sweep_work(result),
     )
 
 
@@ -402,6 +419,7 @@ def _sweep_multiscenario(repeats: int) -> SuiteResult:
             "circuit": list(MULTISCENARIO_CIRCUITS),
             "scenarios": len(request.spec.scenarios),
         },
+        work=_sweep_work(result),
     )
 
 
@@ -435,8 +453,8 @@ def _sweep_warm(repeats: int) -> SuiteResult:
             "circuit": SWEEP_CIRCUIT,
             "points": len(records),
             "cached_stages": len(cache),
-            "synthesize_calls": cache.synthesize_calls,
         },
+        work={"synthesize_calls": cache.synthesize_calls},
     )
 
 
@@ -682,14 +700,20 @@ def _store_backends(repeats: int) -> SuiteResult:
 
 
 def _suite_eval(roster: tuple[str, ...], name: str, repeats: int) -> SuiteResult:
+    from repro.core.tree import graph_work
     from repro.evaluation import evaluate_suite
     from repro.perf.baseline import hot_path_caches_disabled
     from repro.perf.timing import time_paired
 
     names = list(roster)
+    work: dict[str, int] = {}
 
     def run_suite():
-        return evaluate_suite(names)
+        before = graph_work()
+        evaluations = evaluate_suite(names)
+        after = graph_work()
+        work.update({key: after[key] - before[key] for key in after})
+        return evaluations
 
     def run_baseline():
         with hot_path_caches_disabled():
@@ -719,6 +743,7 @@ def _suite_eval(roster: tuple[str, ...], name: str, repeats: int) -> SuiteResult
             "schemes": schemes,
             "backups": backups,
         },
+        work=work,
     )
 
 

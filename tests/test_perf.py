@@ -24,7 +24,7 @@ from repro.perf import (
     run_suites,
     save_report,
 )
-from repro.perf.report import collect_history, format_history
+from repro.perf.report import collect_history, format_comparison, format_history
 from repro.perf.suites import SUITE_NAMES
 from repro.perf.timing import Timing, host_fingerprint, time_call
 
@@ -104,7 +104,7 @@ class TestSuites:
         sweep = by_name["sweep-serial"]
         assert sweep.counters["evaluated"] == sweep.counters["points"] == 18
         # Safe zone on/off share a plan: 3 policies x 3 budgets.
-        assert sweep.counters["plan_builds"] == 9
+        assert sweep.work["plan_builds"] == 9
         assert sweep.counters["failed"] == 0
 
     def test_non_timing_fields_deterministic(self, quick_results):
@@ -113,6 +113,7 @@ class TestSuites:
         for first, second in zip(quick_results, again):
             assert first.name == second.name
             assert first.counters == second.counters
+            assert first.work == second.work
             assert set(first.rates) == set(second.rates)
 
 
@@ -201,6 +202,49 @@ class TestCompare:
         with pytest.raises(PerfReportError, match="max-regression"):
             compare_reports(report, report, max_regression=-0.1)
 
+    def test_rising_work_count_fails_without_tolerance(
+        self, bench_file, tmp_path
+    ):
+        """One more plan build fails the suite even at a faster wall."""
+        data = json.loads(bench_file.read_text())
+        sweep = data["suites"]["sweep-serial"]
+        sweep["work"]["plan_builds"] += 1
+        sweep["timing"]["wall_s"] *= 0.5
+        changed = tmp_path / "BENCH_work.json"
+        changed.write_text(json.dumps(data))
+        result = compare_reports(
+            load_report(bench_file), load_report(changed), max_regression=2.0
+        )
+        by_name = {e.name: e for e in result.entries}
+        assert by_name["sweep-serial"].status == "work-regression"
+        assert by_name["sweep-serial"].work_rises == (("plan_builds", 9, 10),)
+        assert result.regressions == [by_name["sweep-serial"]]
+        assert result.compared == len(FAST_SUITES)
+        assert "plan_builds 9->10" in format_comparison(result)
+
+    def test_falling_work_count_passes(self, bench_file, tmp_path):
+        data = json.loads(bench_file.read_text())
+        data["suites"]["sweep-serial"]["work"]["plan_builds"] -= 1
+        changed = tmp_path / "BENCH_less.json"
+        changed.write_text(json.dumps(data))
+        result = compare_reports(
+            load_report(bench_file), load_report(changed), max_regression=0.0
+        )
+        assert not result.regressions
+
+    def test_work_only_gated_on_both_sides(self, bench_file, tmp_path):
+        """A baseline without a work section (older reports) gates walls only."""
+        data = json.loads(bench_file.read_text())
+        for suite in data["suites"].values():
+            suite.pop("work", None)
+        old = tmp_path / "BENCH_nowork.json"
+        old.write_text(json.dumps(data))
+        result = compare_reports(
+            load_report(old), load_report(bench_file), max_regression=2.0
+        )
+        assert not result.regressions
+        assert result.compared == len(FAST_SUITES)
+
     def test_workload_change_never_gates(self, bench_file, tmp_path):
         data = json.loads(bench_file.read_text())
         data["suites"]["executor"]["counters"]["events"] += 1
@@ -263,6 +307,16 @@ class TestPerfCli:
         missing = tmp_path / "BENCH_404.json"
         assert main(["perf", "compare", str(missing), str(bench_file)]) == 2
         assert "no such perf report" in capsys.readouterr().err
+
+    def test_compare_exits_1_on_rising_work(self, bench_file, tmp_path):
+        data = json.loads(bench_file.read_text())
+        data["suites"]["sweep-serial"]["work"]["synthesize_calls"] += 1
+        more = tmp_path / "BENCH_more.json"
+        more.write_text(json.dumps(data))
+        assert main(
+            ["perf", "compare", str(bench_file), str(more),
+             "--max-regression", "2.0"]
+        ) == 1
 
     def test_compare_negative_margin_exit_2(self, bench_file, capsys):
         code = main(

@@ -8,6 +8,8 @@ and budget/partition laws of the replacement procedure.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from repro.circuits import (
     write_bench,
 )
 from repro.core import build_task_graph, config_for_graph, apply_policy, insert_nvm
+from repro.core.policies import first_fit, first_fit_linear
+from repro.core.tree import graph_caches_disabled
 from repro.energy import EnergyStorage, HarvestSegment, HarvestTrace, ThresholdSet
 
 # ---------------------------------------------------------------------------
@@ -187,6 +191,104 @@ def test_replacement_schedule_covers_everything(spec, divisor):
     assert all(p.commit_bits >= 3 for p in plan.schedule())
     total = sum(p.energy_j for p in plan.schedule())
     assert total <= graph.total_energy_j * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Derived task graphs against the from-scratch oracle.
+# ---------------------------------------------------------------------------
+
+
+def _graph_state(graph):
+    """Node ids in dict order, gates, every feature field, barrier
+    fields and the topological order."""
+    return (
+        [
+            (nid, n.gates, dict(vars(n.feature)), n.nvm_barrier, n.barrier_bits)
+            for nid, n in graph.nodes.items()
+        ],
+        [n.node_id for n in graph.topological_nodes()],
+    )
+
+
+def _pipeline_state(netlist, granularity, policy, split_fraction, divisor):
+    graph = build_task_graph(netlist, granularity=granularity)
+    cfg = config_for_graph(
+        graph, split_fraction=split_fraction, merge_fraction=split_fraction / 2
+    )
+    shaped = apply_policy(graph, policy, cfg)
+    plan = insert_nvm(shaped, shaped.total_energy_j / divisor)
+    return (
+        _graph_state(graph),
+        _graph_state(shaped),
+        _graph_state(plan.graph),
+        plan.barriers,
+        plan.infeasible,
+        [dataclasses.astuple(p) for p in plan.schedule()],
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec=st.builds(
+        CircuitSpec,
+        name=st.sampled_from(["da", "db", "dc"]),
+        n_gates=st.integers(min_value=1, max_value=120),
+        ff_fraction=st.floats(min_value=0.0, max_value=0.4),
+        style=st.sampled_from(["logic", "pld", "datapath", "fsm"]),
+    ),
+    granularity=st.sampled_from(["gate", "level"]),
+    policy=st.sampled_from([1, 2, 3]),
+    split_fraction=st.floats(min_value=0.5, max_value=6.0),
+    divisor=st.floats(min_value=1.0, max_value=20.0),
+)
+def test_derived_graphs_match_from_scratch(
+    spec, granularity, policy, split_fraction, divisor
+):
+    """Derived child graphs (carried features, contracted edges, min-tree
+    first-fit) equal graphs rebuilt from scratch, through insert_nvm."""
+    netlist = generate_circuit(spec)
+    args = (netlist, granularity, policy, split_fraction, divisor)
+    derived = _outcome(_pipeline_state, *args)
+    with graph_caches_disabled():
+        oracle = _outcome(_pipeline_state, *args)
+    assert derived == oracle
+
+
+def _outcome(fn, *args):
+    """``fn``'s result, or the type and message of what it raised: a
+    path that fails must fail the same way on both sides."""
+    try:
+        return fn(*args)
+    except Exception as error:  # noqa: BLE001 - compared, not swallowed
+        return (type(error), str(error))
+
+
+#: Sizes on a 1/8 grid, so ties are common and totals land exactly on cap.
+_eighths = st.integers(min_value=1, max_value=16).map(lambda k: k / 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(
+        st.one_of(_eighths, st.floats(min_value=1e-6, max_value=2.0)),
+        max_size=80,
+    ),
+    cap=st.one_of(
+        st.sampled_from([0.5, 1.0, 1.5]),
+        st.floats(min_value=1e-3, max_value=3.0),
+    ),
+    descending=st.booleans(),
+)
+def test_min_tree_first_fit_matches_linear_scan(sizes, cap, descending):
+    if descending:
+        sizes = sorted(sizes, reverse=True)
+    assert first_fit(sizes, cap) == first_fit_linear(sizes, cap)
+
+
+def test_first_fit_fills_bins_exactly_to_cap():
+    sizes = [0.5, 0.5, 0.25, 0.75, 0.25, 1.0, 0.125, 0.875]
+    assert first_fit(sizes, 1.0) == [[0, 1], [2, 3], [4, 6], [5], [7]]
+    assert first_fit(sizes, 1.0) == first_fit_linear(sizes, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -125,3 +125,116 @@ class TestGranularities:
         report = synthesize(s27)
         graph = build_task_graph(s27, report=report)
         assert graph.report is report
+
+
+def graph_state(graph):
+    """Everything a derived graph must reproduce, in dict order."""
+    return (
+        [
+            (
+                nid,
+                n.gates,
+                dict(vars(n.feature)),
+                n.nvm_barrier,
+                n.barrier_bits,
+            )
+            for nid, n in graph.nodes.items()
+        ],
+        [n.node_id for n in graph.topological_nodes()],
+    )
+
+
+class TestDerivedGraphs:
+    """Child graphs are derived from their parents without aliasing."""
+
+    @pytest.mark.parametrize("granularity", ["gate", "level"])
+    @pytest.mark.parametrize("policy", [1, 2, 3])
+    def test_apply_policy_leaves_input_untouched(
+        self, small_fsm, policy, granularity
+    ):
+        from repro.core import apply_policy, config_for_graph
+
+        graph = build_task_graph(small_fsm, granularity=granularity)
+        before = graph_state(graph)
+        cfg = config_for_graph(graph, split_fraction=1.1, merge_fraction=1.0)
+        shaped = apply_policy(graph, policy, cfg)
+        assert graph_state(graph) == before
+        for nid, node in shaped.nodes.items():
+            if nid in graph.nodes:
+                assert node is not graph.nodes[nid]
+                assert node.feature is not graph.nodes[nid].feature
+
+    def test_insert_nvm_writes_only_its_clone(self, small_fsm):
+        from repro.core import apply_policy, config_for_graph, insert_nvm
+
+        graph = build_task_graph(small_fsm)
+        shaped = apply_policy(graph, 3, config_for_graph(graph))
+        before = graph_state(shaped)
+        plan = insert_nvm(shaped, shaped.total_energy_j / 6.0)
+        assert plan.barriers
+        assert graph_state(shaped) == before
+        for barrier in plan.barriers:
+            node = plan.graph.nodes[barrier]
+            assert node.feature.accumulated_j > 0
+            assert node.feature is not shaped.nodes[barrier].feature
+
+    def test_no_cache_pins_a_netlist(self):
+        import gc
+        import weakref
+
+        from repro.circuits import CircuitSpec, generate_circuit
+        from repro.core import DiacSynthesizer
+
+        netlist = generate_circuit(
+            CircuitSpec(name="pinned", n_gates=80, ff_fraction=0.2)
+        )
+        design = DiacSynthesizer().run(netlist)
+        assert design.plan.graph.netlist is netlist
+        ref = weakref.ref(netlist)
+        del design, netlist
+        gc.collect()
+        assert ref() is None
+
+    def test_features_built_once_per_new_gate_set(self, monkeypatch):
+        """s1423, policy 3: one feature build per gate set ever created,
+        none in insert_nvm (its clone carries every feature)."""
+        from repro.core import DiacSynthesizer, apply_policy, config_for_graph
+        from repro.core import insert_nvm
+        from repro.core.tree import graph_work
+        from repro.suite import load_circuit
+
+        netlist = load_circuit("s1423")
+        report = synthesize(netlist)
+        built: list[TaskGraph] = []
+        original_init = TaskGraph.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(TaskGraph, "__init__", recording_init)
+        start = graph_work()
+        graph = build_task_graph(netlist, report=report)
+        shaped = apply_policy(graph, 3, config_for_graph(graph))
+        shaped_work = graph_work()
+        gate_sets = {n.gates for g in built for n in g.nodes.values()}
+        builds = shaped_work["feature_builds"] - start["feature_builds"]
+        assert builds == len(gate_sets)
+        assert len(gate_sets) > len(graph)  # merges created new sets
+        assert shaped_work["graphs_built"] - start["graphs_built"] == len(built)
+        insert_nvm(shaped, DiacSynthesizer().derive_budget_j(netlist))
+        end = graph_work()
+        assert end["feature_builds"] == shaped_work["feature_builds"]
+        assert end["graphs_built"] == shaped_work["graphs_built"] + 1
+
+    def test_features_follow_gate_sets(self, s27):
+        """A node whose gate tuple changed is re-costed, not trusted."""
+        graph = build_task_graph(s27)
+        node = graph.nodes["G11"]
+        costed = node.feature
+        graph.recompute_features()
+        assert node.feature is costed  # same gate tuple: kept
+        node.gates = tuple(list(node.gates))  # equal but new: re-costed
+        graph.recompute_features()
+        assert node.feature is not costed
+        assert node.feature == costed
